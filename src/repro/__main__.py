@@ -18,7 +18,9 @@ Subcommands::
     python -m repro sanitize --pitfalls          # sweep the bug corpus
 
 Exit status is non-zero when any requested experiment's checks fail, so
-the CLI doubles as a smoke-test in CI.
+the CLI doubles as a smoke-test in CI.  Bad input (an unknown experiment
+or workload, a bad parameter) prints one ``error: ...`` line and exits
+with the usage code: 3 for ``sanitize``, 2 for every other subcommand.
 """
 
 from __future__ import annotations
@@ -553,7 +555,15 @@ def main(argv=None) -> int:
     )
     sanitize_parser.set_defaults(fn=_cmd_sanitize)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    from repro.errors import ReproError
+
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # Bad input (an unknown experiment or workload, a bad parameter)
+        # is a usage error: one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if args.command == "sanitize" else 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

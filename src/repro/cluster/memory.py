@@ -67,10 +67,9 @@ class CacheSim:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = size_bytes // (line_bytes * ways)
-        # tags[s, w] = line index cached in set s, way w (-1 = empty)
-        self._tags = np.full((self.num_sets, ways), -1, dtype=np.int64)
-        self._ages = np.zeros((self.num_sets, ways), dtype=np.int64)
-        self._clock = 0
+        # One insertion-ordered dict per set, used as its LRU list: the
+        # first key is the least recently used line.
+        self._sets: list[dict[int, None]] = [{} for _ in range(self.num_sets)]
         self._hits = 0
         self._misses = 0
 
@@ -87,9 +86,8 @@ class CacheSim:
 
     def flush(self) -> None:
         """Invalidate every line and zero the counters."""
-        self._tags.fill(-1)
-        self._ages.fill(0)
-        self._clock = 0
+        for lru in self._sets:
+            lru.clear()
         self.reset_stats()
 
     def access(self, addresses: np.ndarray | list[int]) -> int:
@@ -104,33 +102,24 @@ class CacheSim:
             lines_arr = lines_arr.ravel()
         if lines_arr.size and lines_arr.min() < 0:
             raise ValidationError("negative line index in access trace")
-        sets = lines_arr % self.num_sets
-        tags = self._tags
-        ages = self._ages
-        misses_before = self._misses
-        clock = self._clock
-        hits = 0
+        sets, num_sets, ways = self._sets, self.num_sets, self.ways
         misses = 0
-        for line, s in zip(lines_arr.tolist(), sets.tolist()):
-            clock += 1
-            row = tags[s]
-            hit_ways = np.where(row == line)[0]
-            if hit_ways.size:
-                ages[s, hit_ways[0]] = clock
-                hits += 1
+        for line in lines_arr.tolist():
+            lru = sets[line % num_sets]
+            if line in lru:
+                del lru[line]  # re-inserted below as most recently used
             else:
-                victim = int(np.argmin(ages[s]))
-                tags[s, victim] = line
-                ages[s, victim] = clock
                 misses += 1
-        self._clock = clock
-        self._hits += hits
+                if len(lru) == ways:
+                    del lru[next(iter(lru))]
+            lru[line] = None
+        self._hits += lines_arr.size - misses
         self._misses += misses
-        return self._misses - misses_before
+        return misses
 
     def contains_line(self, line: int) -> bool:
         """True when ``line`` is currently resident (no counter update)."""
-        return bool((self._tags[line % self.num_sets] == line).any())
+        return line in self._sets[line % self.num_sets]
 
 
 def lines_of_slice(base_addr: int, nbytes: int, line_bytes: int = 64) -> np.ndarray:

@@ -35,6 +35,7 @@ above while keeping the never-decreased set consistent.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +90,35 @@ PAPER_SPEC = ReconstructionSpec(
 )
 
 
+def _pair_terms(pre: int, post: int, monotone: bool) -> tuple[int, int, int, float, float]:
+    """One pair's share of the energy: (increase, decrease, penalty,
+    relative-increase term, relative-decrease term).
+
+    ``penalty`` is the pair's own hard-violation score: 2 for a
+    decrease by a never-decrease student, 3 for a zero post score on a
+    changed pair.  A term that does not apply is ``0.0``.
+    """
+    d = post - pre
+    if d == 0:
+        return 0, 0, 0, 0.0, 0.0
+    if post == 0:
+        return int(d > 0), int(d < 0), 3 + 2 * (d < 0 and monotone), 0.0, 0.0
+    if d > 0:
+        return 1, 0, 0, d / post, 0.0
+    return 0, 1, 2 * monotone, 0.0, -d / post
+
+
 class _State:
-    """Solver state over all (student, quiz) pairs.
+    """Solver state over all (student, quiz) pairs, with the energy kept
+    incrementally.
 
     Plain Python lists: at 42 pairs a scalar loop is several times
-    faster than small-array numpy, and ``energy`` is the hot path.
+    faster than small-array numpy.  Each pair's share of the energy is
+    kept in ``terms``; a move changes two pairs, so :meth:`propose`
+    re-scores only those two and :meth:`commit` applies them.  A changed
+    relative-change sum is re-added over the contributing pairs in index
+    order, the same additions as a full rescan, so it is bit-identical
+    (builtin ``sum`` is not: it compensates rounding on 3.12+).
     """
 
     def __init__(self, spec: ReconstructionSpec, rng: np.random.Generator):
@@ -115,10 +140,6 @@ class _State:
         self.points = points
         self.n = idx
         self.monotone = [s in spec.monotone_students for s in students]
-        self.must_dec_indices = {
-            s: [i for i in range(idx) if students[i] == s]
-            for s in spec.must_decrease_students
-        }
         self.pre = [0] * self.n
         self.post = [0] * self.n
         for qt in spec.quizzes:
@@ -127,6 +148,23 @@ class _State:
                 self.pre[i] = v
             for i, v in zip(ids, self._spread(qt.post_sum, qt.points, len(ids), rng)):
                 self.post[i] = v
+        self.terms = [
+            _pair_terms(a, b, m) for a, b, m in zip(self.pre, self.post, self.monotone)
+        ]
+        self.inc = sum(t[0] for t in self.terms)
+        self.dec = sum(t[1] for t in self.terms)
+        self.penalty = sum(t[2] for t in self.terms)
+        self.inc_terms = [t[3] for t in self.terms]
+        self.dec_terms = [t[4] for t in self.terms]
+        self.rel_inc_sum = _fold(self.inc_terms)
+        self.rel_dec_sum = _fold(self.dec_terms)
+        # Decreased pairs per student, for the must-decrease students only.
+        self.dec_count = {s: 0 for s in spec.must_decrease_students}
+        for s, t in zip(students, self.terms):
+            if s in self.dec_count:
+                self.dec_count[s] += t[1]
+        self.missing = sum(1 for c in self.dec_count.values() if c == 0)
+        self._pending: tuple | None = None
 
     @staticmethod
     def _spread(total: int, cap: int, n: int, rng: np.random.Generator) -> list[int]:
@@ -148,44 +186,26 @@ class _State:
         return out
 
     def energy(self) -> tuple[float, float]:
-        """Returns (hard_violations, soft_error).
+        """Returns (hard_violations, soft_error) of the current scores.
 
         Hard: direction-count mismatches, monotone violations, missing
         required decreases, zero post scores on changed pairs.  Soft:
         distance of the two relative-change means from their targets
         (percentage points).
         """
+        return self._score(
+            self.inc, self.dec, self.penalty, self.missing,
+            self.rel_inc_sum, self.rel_dec_sum,
+        )
+
+    def _score(self, inc, dec, penalty, missing, rel_inc_sum, rel_dec_sum):
         spec = self.spec
-        pre, post, monotone = self.pre, self.post, self.monotone
-        inc = dec = 0
-        rel_inc_sum = rel_dec_sum = 0.0
-        mono_viol = post_zero = 0
-        decreased: set[int] = set()
-        for i in range(self.n):
-            d = post[i] - pre[i]
-            if d > 0:
-                inc += 1
-                if post[i] == 0:
-                    post_zero += 1
-                else:
-                    rel_inc_sum += d / post[i]
-            elif d < 0:
-                dec += 1
-                decreased.add(self.students[i])
-                if monotone[i]:
-                    mono_viol += 1
-                if post[i] == 0:
-                    post_zero += 1
-                else:
-                    rel_dec_sum += -d / post[i]
-        eq = self.n - inc - dec
         hard = (
             abs(inc - spec.increase)
             + abs(dec - spec.decrease)
-            + abs(eq - spec.equal)
-            + 2 * mono_viol
-            + 3 * post_zero
-            + 2 * sum(1 for s in spec.must_decrease_students if s not in decreased)
+            + abs(self.n - inc - dec - spec.equal)
+            + penalty
+            + 2 * missing
         )
         soft = 0.0
         if inc:
@@ -197,6 +217,68 @@ class _State:
         else:
             soft += spec.target_rel_decrease
         return float(hard), soft
+
+    def propose(self, scores: list[int], i: int, j: int, step: int) -> tuple[float, float]:
+        """Energy after moving ``step`` points from pair ``j`` to pair
+        ``i`` of ``scores`` (``self.pre`` or ``self.post``).
+
+        The state is unchanged until :meth:`commit`; ``i`` and ``j`` are
+        distinct pairs of the same quiz, hence of different students.
+        """
+        pre, post, monotone = self.pre, self.post, self.monotone
+        if scores is pre:
+            new_i = _pair_terms(pre[i] + step, post[i], monotone[i])
+            new_j = _pair_terms(pre[j] - step, post[j], monotone[j])
+        else:
+            new_i = _pair_terms(pre[i], post[i] + step, monotone[i])
+            new_j = _pair_terms(pre[j], post[j] - step, monotone[j])
+        old_i, old_j = self.terms[i], self.terms[j]
+        inc = self.inc + new_i[0] + new_j[0] - old_i[0] - old_j[0]
+        dec = self.dec + new_i[1] + new_j[1] - old_i[1] - old_j[1]
+        penalty = self.penalty + new_i[2] + new_j[2] - old_i[2] - old_j[2]
+        missing = self.missing
+        for k, new, old in ((i, new_i, old_i), (j, new_j, old_j)):
+            if new[1] != old[1] and self.dec_count.get(self.students[k]) == old[1]:
+                # A must-decrease student gains its first or loses its
+                # last decreased pair.
+                missing += old[1] - new[1]
+        inc_terms = self.inc_terms
+        rel_inc_sum = self.rel_inc_sum
+        if new_i[3] != inc_terms[i] or new_j[3] != inc_terms[j]:
+            inc_terms = inc_terms.copy()
+            inc_terms[i], inc_terms[j] = new_i[3], new_j[3]
+            rel_inc_sum = _fold(inc_terms)
+        dec_terms = self.dec_terms
+        rel_dec_sum = self.rel_dec_sum
+        if new_i[4] != dec_terms[i] or new_j[4] != dec_terms[j]:
+            dec_terms = dec_terms.copy()
+            dec_terms[i], dec_terms[j] = new_i[4], new_j[4]
+            rel_dec_sum = _fold(dec_terms)
+        self._pending = (
+            scores, i, j, step, new_i, new_j, inc, dec, penalty, missing,
+            inc_terms, dec_terms, rel_inc_sum, rel_dec_sum,
+        )
+        return self._score(inc, dec, penalty, missing, rel_inc_sum, rel_dec_sum)
+
+    def commit(self) -> None:
+        """Apply the move last evaluated by :meth:`propose`."""
+        (scores, i, j, step, new_i, new_j, self.inc, self.dec, self.penalty,
+         self.missing, self.inc_terms, self.dec_terms, self.rel_inc_sum,
+         self.rel_dec_sum) = self._pending
+        self._pending = None
+        scores[i] += step
+        scores[j] -= step
+        for k, new in ((i, new_i), (j, new_j)):
+            s = self.students[k]
+            if s in self.dec_count:
+                self.dec_count[s] += new[1] - self.terms[k][1]
+            self.terms[k] = new
+
+
+def _fold(terms: list[float]) -> float:
+    """Left-to-right float sum of the non-zero terms, the same on every
+    Python version."""
+    return functools.reduce(operator.add, filter(None, terms), 0.0)
 
 
 def _anneal(
@@ -211,38 +293,55 @@ def _anneal(
 
     # The hot loop uses the stdlib PRNG (far lower per-call overhead);
     # its seed derives from the numpy stream, keeping runs deterministic.
+    # Its draws are inlined: ``randrange(n)`` is ``getrandbits(k)`` for
+    # k = n.bit_length(), redrawn while >= n, and ``randint(1, b)`` is
+    # ``1 + randrange(b)``, so the stream matches those calls exactly.
     py_rng = random.Random(int(rng.integers(0, 2**63 - 1)))
+    getrandbits, uniform = py_rng.getrandbits, py_rng.random
     hard, soft = state.energy()
     best = (state.pre.copy(), state.post.copy(), hard, soft)
     temperature = 4.0
     cooling = (0.002 / temperature) ** (1.0 / max(iterations, 1))
-    quiz_ids = list(state.quiz_slices.values())
+    quizzes = []
+    for ids in state.quiz_slices.values():
+        cap = state.points[ids[0]] if ids else 0
+        steps = max(1, cap // 12)
+        quizzes.append((ids, len(ids), len(ids).bit_length(), cap, steps, steps.bit_length()))
+    nq, nq_bits = len(quizzes), len(quizzes).bit_length()
+    pre, post = state.pre, state.post
     for _ in range(iterations):
-        ids = quiz_ids[py_rng.randrange(len(quiz_ids))]
-        if len(ids) < 2:
+        r = getrandbits(nq_bits)
+        while r >= nq:
+            r = getrandbits(nq_bits)
+        ids, n, bits, cap, steps, step_bits = quizzes[r]
+        if n < 2:
             continue
-        i = ids[py_rng.randrange(len(ids))]
-        j = ids[py_rng.randrange(len(ids))]
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        i = ids[r]
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        j = ids[r]
         if i == j:
             continue
-        arr = state.pre if py_rng.random() < 0.5 else state.post
-        cap = state.points[i]
-        step = py_rng.randint(1, max(1, cap // 12))
+        arr = pre if uniform() < 0.5 else post
+        r = getrandbits(step_bits)
+        while r >= steps:
+            r = getrandbits(step_bits)
+        step = 1 + r
         if arr[i] + step > cap or arr[j] - step < 0:
             continue
-        arr[i] += step
-        arr[j] -= step
-        new_hard, new_soft = state.energy()
+        new_hard, new_soft = state.propose(arr, i, j, step)
         delta_e = (new_hard - hard) * 100.0 + (new_soft - soft)
-        if delta_e <= 0 or py_rng.random() < math.exp(-delta_e / temperature):
+        if delta_e <= 0 or uniform() < math.exp(-delta_e / temperature):
+            state.commit()
             hard, soft = new_hard, new_soft
             if (hard, soft) < (best[2], best[3]):
-                best = (state.pre.copy(), state.post.copy(), hard, soft)
+                best = (pre.copy(), post.copy(), hard, soft)
                 if hard == 0 and soft <= soft_tolerance:
                     break
-        else:
-            arr[i] -= step
-            arr[j] += step
         temperature *= cooling
     return best
 

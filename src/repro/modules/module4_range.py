@@ -128,16 +128,16 @@ def _shared_query_profile(index, boxes: np.ndarray, key: tuple) -> np.ndarray:
     slice's counters).
     """
     cache_key = ("profile",) + key
+    # Filled under the lock, like the index: the first rank computes the
+    # profile while the others wait for it instead of repeating it.
     with _INDEX_CACHE_LOCK:
         profile = _INDEX_CACHE.get(cache_key)
-    if profile is None:
-        rows = np.empty((len(boxes), 3), dtype=np.int64)
-        for i, box in enumerate(boxes):
-            stats = QueryStats()
-            found = index.query_range(Rect.from_intervals(box), stats)
-            rows[i] = (len(found), stats.nodes_visited, stats.entries_checked)
-        profile = rows
-        with _INDEX_CACHE_LOCK:
+        if profile is None:
+            profile = np.empty((len(boxes), 3), dtype=np.int64)
+            for i, box in enumerate(boxes):
+                stats = QueryStats()
+                found = index.query_range(Rect.from_intervals(box), stats)
+                profile[i] = (len(found), stats.nodes_visited, stats.entries_checked)
             _INDEX_CACHE[cache_key] = profile
     return profile
 

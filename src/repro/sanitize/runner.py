@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.sanitize.analyze import analyze
 from repro.sanitize.findings import Finding, SanitizeReport
 from repro.sanitize.sanitizer import Sanitizer, capture
@@ -27,12 +27,15 @@ def _observe(invoke: Callable[[], Any], match_order: str) -> Sanitizer:
     """Run ``invoke`` under an ambient sanitizer; the world's abort (if
     any) is captured by the ``on_world_finish`` hook, not re-raised."""
     san = Sanitizer(match_order)
+    error = None
     with capture(san):
         try:
             invoke()
-        except Exception:  # noqa: BLE001 - the hook recorded the abort
-            pass
+        except Exception as exc:  # noqa: BLE001 - the hook recorded the abort
+            error = exc
     if not san.finished or san.world is None:
+        if isinstance(error, ReproError):
+            raise error  # bad input, e.g. an unknown workload: no world ran
         raise ValidationError(
             "sanitized runner did not execute an smpi world to completion"
         )

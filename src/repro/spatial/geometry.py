@@ -26,6 +26,15 @@ class Rect:
         if np.any(self.mins > self.maxs):
             raise ValidationError(f"empty rect: mins {self.mins} exceed maxs {self.maxs}")
 
+    @classmethod
+    def _trusted(cls, mins: np.ndarray, maxs: np.ndarray) -> "Rect":
+        """Wrap float64 arrays already known to form a valid box
+        (an index's own points and bounding boxes): no copy, no check."""
+        rect = object.__new__(cls)
+        rect.mins = mins
+        rect.maxs = maxs
+        return rect
+
     @property
     def dims(self) -> int:
         return self.mins.size
@@ -64,7 +73,9 @@ class Rect:
         return bool(np.all(self.mins <= other.maxs) and np.all(other.mins <= self.maxs))
 
     def union(self, other: "Rect") -> "Rect":
-        return Rect(np.minimum(self.mins, other.mins), np.maximum(self.maxs, other.maxs))
+        return Rect._trusted(
+            np.minimum(self.mins, other.mins), np.maximum(self.maxs, other.maxs)
+        )
 
     @property
     def area(self) -> float:

@@ -9,6 +9,7 @@ count the node/entry work used by the performance model.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -19,23 +20,32 @@ from repro.util.validation import check_points, check_positive, require
 
 
 class _Node:
-    __slots__ = ("leaf", "rects", "children", "indices")
+    __slots__ = ("leaf", "rects", "children", "indices", "_boxes")
 
     def __init__(self, leaf: bool):
         self.leaf = leaf
         self.rects: list[Rect] = []
         self.children: list["_Node"] = []  # internal nodes only
         self.indices: list[int] = []  # leaf nodes only
+        # (mins, maxs) of ``rects`` stacked into (count, d) arrays, built
+        # on first use; whoever changes ``rects`` resets it to None.
+        self._boxes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def count(self) -> int:
         return len(self.rects)
 
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._boxes is None:
+            self._boxes = (
+                np.array([r.mins for r in self.rects]),
+                np.array([r.maxs for r in self.rects]),
+            )
+        return self._boxes
+
     def mbr(self) -> Rect:
-        box = self.rects[0]
-        for r in self.rects[1:]:
-            box = box.union(r)
-        return box
+        mins, maxs = self.boxes()
+        return Rect._trusted(mins.min(axis=0), maxs.max(axis=0))
 
 
 class RTree:
@@ -117,9 +127,10 @@ class RTree:
         leaves = []
         for grp in groups:
             leaf = _Node(leaf=True)
-            for idx in grp:
-                leaf.rects.append(Rect.from_point(pts[idx]))
-                leaf.indices.append(int(idx))
+            box = pts[grp]
+            leaf.rects = [Rect._trusted(p, p) for p in box]
+            leaf.indices = grp.tolist()
+            leaf._boxes = (box, box)
             leaves.append(leaf)
         return leaves
 
@@ -157,6 +168,7 @@ class RTree:
 
     def _insert(self, node: _Node, rect: Rect, index: int) -> Optional[_Node]:
         """Insert into the subtree; returns a split sibling if it overflowed."""
+        node._boxes = None
         if node.leaf:
             node.rects.append(rect)
             node.indices.append(index)
@@ -217,6 +229,7 @@ class RTree:
             groups[g].append(best_i)
             box[g] = box[g].union(rects[best_i])
         sibling = _Node(leaf=node.leaf)
+        node._boxes = None
         keep, move = groups
         if node.leaf:
             new_rects = [rects[i] for i in keep]
@@ -253,20 +266,21 @@ class RTree:
             raise ValidationError(f"query rect has {rect.dims} dims, index has {self.dims}")
         out: list[int] = []
         local = stats if stats is not None else QueryStats()
+        lo, hi = rect.mins, rect.maxs
         if self._size:
             stack = [self.root]
             while stack:
                 node = stack.pop()
                 local.nodes_visited += 1
                 local.entries_checked += node.count
+                mins, maxs = node.boxes()
                 if node.leaf:
-                    for r, idx in zip(node.rects, node.indices):
-                        if rect.contains_point(r.mins):
-                            out.append(idx)
+                    # Leaf entries are points: test each one's mins.
+                    hit = ((mins >= lo) & (mins <= hi)).all(axis=1)
+                    out.extend(compress(node.indices, hit.tolist()))
                 else:
-                    for r, child in zip(node.rects, node.children):
-                        if rect.intersects(r):
-                            stack.append(child)
+                    hit = ((mins <= hi) & (maxs >= lo)).all(axis=1)
+                    stack.extend(compress(node.children, hit.tolist()))
         local.results += len(out)
         return np.sort(np.asarray(out, dtype=np.int64))
 

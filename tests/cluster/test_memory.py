@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.cluster import CacheSim, analytic_distance_matrix_misses
+from repro.cluster.memory import CacheStats
 from repro.cluster.memory import lines_of_slice
 
 
@@ -128,3 +130,53 @@ def test_simulator_agrees_with_analytic_rowwise_order_of_magnitude():
     predicted = analytic_distance_matrix_misses(n, d, 2048)
     measured = cache.stats.misses
     assert 0.5 < measured / predicted < 2.0
+
+
+class _NumpyAgesLRU:
+    """Reference LRU: a tag and an age per way, the victim is the way
+    with the smallest age (empty ways have age 0, so they fill first)."""
+
+    def __init__(self, num_sets: int, ways: int):
+        self.num_sets = num_sets
+        self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
+        self.ages = np.zeros((num_sets, ways), dtype=np.int64)
+        self.clock = self.hits = self.misses = 0
+
+    def access_lines(self, lines) -> int:
+        before = self.misses
+        for line in lines:
+            self.clock += 1
+            s = line % self.num_sets
+            hit_ways = np.where(self.tags[s] == line)[0]
+            if hit_ways.size:
+                self.ages[s, hit_ways[0]] = self.clock
+                self.hits += 1
+            else:
+                victim = int(np.argmin(self.ages[s]))
+                self.tags[s, victim] = line
+                self.ages[s, victim] = self.clock
+                self.misses += 1
+        return self.misses - before
+
+    def contains_line(self, line: int) -> bool:
+        return bool((self.tags[line % self.num_sets] == line).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ways=st.sampled_from([1, 2, 4, 8]),
+    num_sets=st.sampled_from([1, 2, 3, 8]),
+    calls=st.lists(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=30), max_size=6
+    ),
+)
+def test_cache_sim_matches_numpy_ages_reference(ways, num_sets, calls):
+    line_bytes = 64
+    sim = CacheSim(size_bytes=num_sets * ways * line_bytes, line_bytes=line_bytes, ways=ways)
+    ref = _NumpyAgesLRU(num_sets, ways)
+    assert sim.num_sets == num_sets
+    for lines in calls:
+        assert sim.access_lines(lines) == ref.access_lines(lines)
+        assert sim.stats == CacheStats(ref.hits + ref.misses, ref.hits, ref.misses)
+        for line in range(41):
+            assert sim.contains_line(line) == ref.contains_line(line)

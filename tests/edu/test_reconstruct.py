@@ -1,6 +1,10 @@
 """Tests for the Figure 2 / Table IV cohort reconstruction."""
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.edu import PAPER_TABLE4, compute_table4, reconstruct_cohort_scores
 from repro.edu.reconstruct import PAPER_SPEC
@@ -123,3 +127,94 @@ def test_monotone_conflict_rejected():
     )
     with pytest.raises(ReconstructionError):
         solve_reconstruction(conflicted, iterations=2_000)
+
+
+def test_reconstruction_is_pinned(reconstruction):
+    """The exact scores and errors, recorded with the full-rescan
+    annealer: the incremental energy and the inlined random draws
+    reproduce its search step for step."""
+    h = hashlib.sha256()
+    for p in reconstruction.pairs:
+        h.update(f"{p.student},{p.quiz},{p.pre.hex()},{p.post.hex()};".encode())
+    h.update(
+        f"{reconstruction.rel_increase_error.hex()},"
+        f"{reconstruction.rel_decrease_error.hex()}".encode()
+    )
+    assert h.hexdigest() == (
+        "8df14d69a1430eb7d9fd1fc7d6b546bbce44e7eaecf7cfc07cee9f2c7421037b"
+    )
+
+
+def _rescan_energy(state):
+    """The energy by a full scan over all pairs, in index order."""
+    spec = state.spec
+    inc = dec = 0
+    rel_inc_sum = rel_dec_sum = 0.0
+    mono_viol = post_zero = 0
+    decreased = set()
+    for i in range(state.n):
+        pre, post = state.pre[i], state.post[i]
+        d = post - pre
+        if d > 0:
+            inc += 1
+            if post == 0:
+                post_zero += 1
+            else:
+                rel_inc_sum += d / post
+        elif d < 0:
+            dec += 1
+            decreased.add(state.students[i])
+            if state.monotone[i]:
+                mono_viol += 1
+            if post == 0:
+                post_zero += 1
+            else:
+                rel_dec_sum += -d / post
+    hard = (
+        abs(inc - spec.increase)
+        + abs(dec - spec.decrease)
+        + abs(state.n - inc - dec - spec.equal)
+        + 2 * mono_viol
+        + 3 * post_zero
+        + 2 * sum(1 for s in spec.must_decrease_students if s not in decreased)
+    )
+    soft = 0.0
+    if inc:
+        soft += abs(100.0 * rel_inc_sum / inc - spec.target_rel_increase)
+    else:
+        soft += spec.target_rel_increase
+    if dec:
+        soft += abs(100.0 * rel_dec_sum / dec - spec.target_rel_decrease)
+    else:
+        soft += spec.target_rel_decrease
+    return float(hard), soft
+
+
+def _bits(pair):
+    return tuple(x.hex() for x in pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), moves=st.integers(1, 400))
+def test_incremental_energy_equals_full_rescan(seed, moves):
+    from repro.edu.reconstruct import _State
+
+    rng = np.random.default_rng(seed)
+    state = _State(PAPER_SPEC, rng)
+    assert _bits(state.energy()) == _bits(_rescan_energy(state))
+    quizzes = list(state.quiz_slices.values())
+    for _ in range(moves):
+        ids = quizzes[rng.integers(len(quizzes))]
+        i, j = rng.choice(ids, size=2, replace=False).tolist()
+        scores = state.pre if rng.random() < 0.5 else state.post
+        cap = state.points[i]
+        step = int(rng.integers(1, cap + 1))
+        if scores[i] + step > cap or scores[j] - step < 0:
+            continue
+        before = _bits(state.energy())
+        proposed = state.propose(scores, i, j, step)
+        assert _bits(state.energy()) == before  # nothing applied yet
+        if rng.random() < 0.3:
+            continue  # a rejected move
+        state.commit()
+        assert _bits(state.energy()) == _bits(proposed) == _bits(_rescan_energy(state))

@@ -130,3 +130,28 @@ def test_validation_of_sizes():
         smpi.run(1, range_query_activity, n=0, q=5)
     with pytest.raises(ValidationError):
         smpi.run(1, range_query_activity, n=10, q=0)
+
+
+def test_query_profile_is_computed_once_across_ranks(monkeypatch):
+    """16 ranks starting cold share one profile: the first rank runs the
+    q queries while the others wait for it, instead of each repeating
+    them (a cold ``repro run E5`` would otherwise run 16 x 4,096)."""
+    import time
+
+    from repro.modules import module4_range
+    from repro.spatial import RTree
+
+    monkeypatch.setattr(module4_range, "_INDEX_CACHE", {})
+    calls = []
+    query = RTree.query_range
+
+    def spy(self, rect, stats=None):
+        calls.append(rect)
+        time.sleep(0.001)  # widen the window in which other ranks arrive
+        return query(self, rect, stats)
+
+    monkeypatch.setattr(RTree, "query_range", spy)
+    q = 48
+    out = smpi.run(16, range_query_activity, n=2000, q=q, algorithm="rtree", seed=7)
+    assert len(calls) == q
+    assert sum(r.queries_answered for r in out) == q

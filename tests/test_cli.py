@@ -25,9 +25,47 @@ def test_run_multiple(capsys):
     assert "[PASS] T1" in out and "[PASS] T3" in out
 
 
-def test_run_unknown_id():
-    with pytest.raises(Exception):
-        main(["run", "T99"])
+def test_run_unknown_id(capsys):
+    assert main(["run", "T99"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown experiment 'T99'")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "E99"], 2),
+        (["trace", "nosuch"], 2),
+        (["trace", "ring", "-n", "0"], 2),
+        (["faults", "nosuch"], 2),
+        (["recover", "nosuch"], 2),
+        (["sanitize", "nosuch"], 3),
+        (["sanitize", "--pitfall", "nosuch"], 3),
+    ],
+)
+def test_bad_input_is_a_one_line_usage_error(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_input_exit_code_from_the_command_line():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "nosuch"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown workload 'nosuch'")
+    assert "Traceback" not in proc.stderr
 
 
 def test_modules_catalog(capsys):

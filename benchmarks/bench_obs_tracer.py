@@ -43,7 +43,7 @@ def test_summary_matches_full_recompute(benchmark, big_tracer):
     def recompute():
         out = TraceSummary()
         for e in big_tracer.events:
-            out._add(e, Tracer._SEND_LIKE)
+            out._add(e)
         return out
 
     slow = benchmark.pedantic(recompute, rounds=3, iterations=1)

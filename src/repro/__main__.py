@@ -112,8 +112,6 @@ def _cmd_quiz(_args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
     from repro.obs import (
         analyze_wait_states,
         critical_path,
@@ -139,16 +137,8 @@ def _cmd_trace(args) -> int:
     if args.workload is None:
         print("trace: a WORKLOAD name is required (or --list)", file=sys.stderr)
         return 2
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if not _:
-            print(f"trace: bad -p {item!r}; expected key=value", file=sys.stderr)
-            return 2
-        try:
-            params[key] = json.loads(value)  # numbers, booleans, lists, ...
-        except json.JSONDecodeError:
-            params[key] = value  # bare strings (e.g. -p method=weighted)
+    workload = WORKLOADS.get(args.workload)
+    params = _parse_params(args.param, args.workload, workload and workload.runner)
     result = run_workload(args.workload, nprocs=args.nprocs, **params)
     tracer = result.tracer
     print(
@@ -175,18 +165,52 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _parse_params(items) -> dict:
+#: the JSON value types a ``-p`` value may take, by the type of the
+#: parameter's default (a parameter defaulting to None takes any value)
+_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _parse_params(items, name, fn) -> dict:
+    """``-p KEY=VALUE`` items as keyword arguments for workload ``name``.
+
+    Values parse as JSON (numbers, booleans, lists, ...), falling back to
+    bare strings.  When ``fn``, the workload's runner or body, is known,
+    each key must be one of its keyword-only parameters and each value
+    must have the type of that parameter's default.  Bad input raises
+    :class:`~repro.errors.ValidationError`.
+    """
+    import inspect
     import json
 
+    from repro.errors import ValidationError
+
+    accepted = {} if fn is None else {
+        p.name: p.default
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
     params = {}
     for item in items or []:
-        key, sep, value = item.partition("=")
+        key, sep, text = item.partition("=")
         if not sep:
-            raise ValueError(f"bad -p {item!r}; expected key=value")
+            raise ValidationError(f"bad -p {item!r}; expected key=value")
         try:
-            params[key] = json.loads(value)  # numbers, booleans, lists, ...
+            value = json.loads(text)
         except json.JSONDecodeError:
-            params[key] = value  # bare strings (e.g. -p method=weighted)
+            value = text  # bare strings (e.g. -p method=weighted)
+        if fn is not None:
+            if key not in accepted:
+                takes = ", ".join(accepted) or "none"
+                raise ValidationError(
+                    f"workload {name!r} has no parameter {key!r} (takes: {takes})"
+                )
+            types = _PARAM_TYPES.get(type(accepted[key]))
+            if types and type(value) not in types:
+                raise ValidationError(
+                    f"parameter {key!r} of workload {name!r} must be "
+                    f"{type(accepted[key]).__name__}, got {text!r}"
+                )
+        params[key] = value
     return params
 
 
@@ -213,11 +237,8 @@ def _cmd_faults(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        params = _parse_params(args.param)
-    except ValueError as exc:
-        print(f"faults: {exc}", file=sys.stderr)
-        return 2
+    workload = WORKLOADS.get(args.workload)
+    params = _parse_params(args.param, args.workload, workload and workload.runner)
     plan = FaultPlan.from_toml(args.plan) if args.plan else FaultPlan()
     if args.seed is not None:
         import dataclasses
@@ -270,11 +291,8 @@ def _cmd_recover(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        params = _parse_params(args.param)
-    except ValueError as exc:
-        print(f"recover: {exc}", file=sys.stderr)
-        return 2
+    workload = RECOVERABLE.get(args.workload)
+    params = _parse_params(args.param, args.workload, workload and workload.body())
     plan = FaultPlan.from_toml(args.plan) if args.plan else FaultPlan()
     if args.seed is not None:
         import dataclasses
@@ -354,11 +372,8 @@ def _cmd_sanitize(args) -> int:
             file=sys.stderr,
         )
         return 3
-    try:
-        params = _parse_params(args.param)
-    except ValueError as exc:
-        print(f"sanitize: {exc}", file=sys.stderr)
-        return 3
+    workload = WORKLOADS.get(args.workload)
+    params = _parse_params(args.param, args.workload, workload and workload.runner)
     faults = None
     if args.plan:
         from repro.faults import FaultPlan

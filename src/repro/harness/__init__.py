@@ -24,7 +24,6 @@ from repro.harness.profile import (
     profile_from_run,
 )
 from repro.harness.kernels import (
-    KERNEL_BACKEND,
     histogram_cuts,
     kmeans_assign,
     kmeans_update,
@@ -55,7 +54,6 @@ __all__ = [
     "imbalance_from_run",
     "module_kernel_roofline",
     "module_kernels",
-    "KERNEL_BACKEND",
     "pairwise_block",
     "kmeans_assign",
     "kmeans_update",

@@ -5,13 +5,10 @@ Two jobs live here:
 1. **The hot kernels themselves.**  The numeric inner loops of the
    teaching modules — Module 2's tiled distance-matrix block, Module 5's
    k-means assignment/update, Module 3's histogram splitters — are
-   implemented once, behind a backend selected at import time:
-   vectorized numpy when available (the default), or a dependency-free
-   pure-Python fallback (also forced by ``REPRO_PURE_PYTHON_KERNELS=1``,
-   which is how the parity tests exercise it).  The module files
-   delegate here, so the *cost-model charging* stays in the modules and
-   is identical under either backend — virtual time never depends on
-   which backend computed the numbers.
+   implemented once, vectorized with numpy.  The module files delegate
+   here and keep the *cost-model charging* themselves, so virtual time
+   depends only on the cost models, never on how the numbers were
+   computed.
 
 2. **The roofline chart.**  :func:`module_kernel_roofline` renders the
    chart that summarizes the paper's performance narrative: which module
@@ -23,34 +20,9 @@ Two jobs live here:
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Any, Optional
 
-try:
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-#: which implementation the kernel functions dispatch to, decided once
-#: at import: ``"numpy"`` when importable (and not overridden via the
-#: ``REPRO_PURE_PYTHON_KERNELS=1`` environment variable), else ``"python"``.
-KERNEL_BACKEND = (
-    "numpy"
-    if HAVE_NUMPY and os.environ.get("REPRO_PURE_PYTHON_KERNELS", "0") in ("", "0")
-    else "python"
-)
-
-
-def _as_array(rows: Any, dtype: str = "float64") -> Any:
-    """Return results as ndarrays when numpy exists (so module code can
-    keep using array methods even under the forced-python backend)."""
-    if HAVE_NUMPY:
-        return _np.asarray(rows, dtype=dtype)
-    return rows
+import numpy as np
 
 
 # -- Module 2: distance-matrix block ------------------------------------------
@@ -63,21 +35,11 @@ def pairwise_block(a: Any, b: Any) -> Any:
     (and its tiled variant, which calls this once per column tile).
     Numerically clipped so round-off never yields NaN on the diagonal.
     """
-    if KERNEL_BACKEND == "numpy":
-        sq_a = _np.einsum("ij,ij->i", a, a)[:, None]
-        sq_b = _np.einsum("ij,ij->i", b, b)[None, :]
-        d2 = sq_a + sq_b - 2.0 * (a @ b.T)
-        _np.maximum(d2, 0.0, out=d2)
-        return _np.sqrt(d2)
-    out = []
-    for row in a:
-        out.append(
-            [
-                math.sqrt(max(sum((x - y) ** 2 for x, y in zip(row, other)), 0.0))
-                for other in b
-            ]
-        )
-    return _as_array(out)
+    sq_a = np.einsum("ij,ij->i", a, a)[:, None]
+    sq_b = np.einsum("ij,ij->i", b, b)[None, :]
+    d2 = sq_a + sq_b - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
 
 
 # -- Module 5: k-means assignment / update ------------------------------------
@@ -86,59 +48,29 @@ def pairwise_block(a: Any, b: Any) -> Any:
 def kmeans_assign(points: Any, centroids: Any) -> Any:
     """Nearest-centroid label per point.
 
-    Scores ``||c||² - 2·x·c`` (the ``||x||²`` term is constant per row),
-    first minimum wins — both backends use the same formula so ties
-    break identically.
+    Scores ``||c||² - 2·x·c`` (the ``||x||²`` term is constant per row);
+    the first minimum wins ties.
     """
-    if KERNEL_BACKEND == "numpy":
-        cross = points @ centroids.T
-        c2 = _np.einsum("ij,ij->i", centroids, centroids)
-        return _np.argmin(c2[None, :] - 2.0 * cross, axis=1)
-    c2 = [sum(c * c for c in cen) for cen in centroids]
-    labels = []
-    for x in points:
-        best, best_score = 0, None
-        for j, cen in enumerate(centroids):
-            score = c2[j] - 2.0 * sum(xi * ci for xi, ci in zip(x, cen))
-            if best_score is None or score < best_score:
-                best, best_score = j, score
-        labels.append(best)
-    return _as_array(labels, dtype="int64")
+    cross = points @ centroids.T
+    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    return np.argmin(c2[None, :] - 2.0 * cross, axis=1)
 
 
 def kmeans_update(points: Any, labels: Any, k: int) -> tuple[Any, Any]:
     """Per-cluster coordinate sums and counts (the "weighted means")."""
-    if KERNEL_BACKEND == "numpy":
-        dims = points.shape[1]
-        sums = _np.zeros((k, dims))
-        _np.add.at(sums, labels, points)
-        counts = _np.bincount(labels, minlength=k).astype(_np.float64)
-        return sums, counts
-    dims = len(points[0]) if len(points) else 0
-    sums = [[0.0] * dims for _ in range(k)]
-    counts = [0.0] * k
-    for x, lab in zip(points, labels):
-        lab = int(lab)
-        counts[lab] += 1.0
-        row = sums[lab]
-        for d, xi in enumerate(x):
-            row[d] += float(xi)
-    return _as_array(sums), _as_array(counts)
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, labels, points)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    return sums, counts
 
 
 def centroid_step(sums: Any, counts: Any, previous: Any) -> Any:
     """New centroid positions; clusters that lost all points keep their
     previous position (the standard empty-cluster rule)."""
-    if KERNEL_BACKEND == "numpy":
-        out = previous.copy()
-        nonempty = counts > 0
-        out[nonempty] = sums[nonempty] / counts[nonempty, None]
-        return out
-    out = [
-        [s / c for s in row] if (c := float(counts[j])) > 0 else list(map(float, previous[j]))
-        for j, row in enumerate(sums)
-    ]
-    return _as_array(out)
+    out = previous.copy()
+    nonempty = counts > 0
+    out[nonempty] = sums[nonempty] / counts[nonempty, None]
+    return out
 
 
 # -- Module 3: histogram splitters --------------------------------------------
@@ -147,41 +79,10 @@ def centroid_step(sums: Any, counts: Any, previous: Any) -> Any:
 def histogram_cuts(sample: Any, p: int, bins: int) -> Any:
     """``p-1`` boundaries cutting the sample's histogram mass into ``p``
     equal parts, interpolating within bins (the activity-3 recipe)."""
-    if KERNEL_BACKEND == "numpy":
-        counts, edges = _np.histogram(sample, bins=bins)
-        cumulative = _np.concatenate([[0], _np.cumsum(counts)]).astype(_np.float64)
-        targets = _np.arange(1, p) * sample.size / p
-        return _np.interp(targets, cumulative, edges)
-    values = [float(v) for v in sample]
-    lo, hi = min(values), max(values)
-    width = (hi - lo) / bins if hi > lo else 1.0
-    counts = [0] * bins
-    for v in values:
-        # np.histogram: uniform bins, rightmost bin closed on both sides.
-        idx = min(int((v - lo) / width), bins - 1) if hi > lo else 0
-        counts[idx] += 1
-    edges = [lo + i * width for i in range(bins + 1)] if hi > lo else [lo, lo + 1.0]
-    cumulative = [0.0]
-    for c in counts:
-        cumulative.append(cumulative[-1] + c)
-    n = len(values)
-    cuts = []
-    for j in range(1, p):
-        target = j * n / p
-        # np.interp over (cumulative -> edges), clamped at the ends.
-        if target <= cumulative[0]:
-            cuts.append(edges[0])
-            continue
-        if target >= cumulative[-1]:
-            cuts.append(edges[-1])
-            continue
-        for i in range(1, len(cumulative)):
-            if target <= cumulative[i]:
-                lo_c, hi_c = cumulative[i - 1], cumulative[i]
-                frac = 0.0 if hi_c == lo_c else (target - lo_c) / (hi_c - lo_c)
-                cuts.append(edges[i - 1] + frac * (edges[i] - edges[i - 1]))
-                break
-    return _as_array(cuts)
+    counts, edges = np.histogram(sample, bins=bins)
+    cumulative = np.concatenate([[0], np.cumsum(counts)]).astype(np.float64)
+    targets = np.arange(1, p) * sample.size / p
+    return np.interp(targets, cumulative, edges)
 
 
 # -- the roofline chart --------------------------------------------------------

@@ -49,8 +49,7 @@ def pairwise_distances(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndar
     """Euclidean distance matrix between rows of ``a`` and rows of ``b``.
 
     The row-wise reference kernel.  The numerics live in
-    :func:`repro.harness.kernels.pairwise_block` (vectorized numpy or the
-    pure-Python fallback, selected at import); this wrapper owns the
+    :func:`repro.harness.kernels.pairwise_block`; this wrapper owns the
     validation.
     """
     a = check_points("a", a)

@@ -82,8 +82,7 @@ def histogram_splitters(sample: np.ndarray, p: int, bins: int = 256) -> np.ndarr
     sample = np.asarray(sample, dtype=np.float64)
     if sample.size == 0:
         raise ValidationError("histogram_splitters needs a non-empty sample")
-    # The numerics live in repro.harness.kernels (vectorized numpy or
-    # the pure-Python fallback, selected at import).
+    # The numerics live in repro.harness.kernels.
     return histogram_cuts(sample, p, bins)
 
 

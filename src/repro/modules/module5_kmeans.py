@@ -72,8 +72,7 @@ def initial_centroids(points: np.ndarray, k: int, seed: SeedLike = 0) -> np.ndar
 def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid label per point.
 
-    Delegates to :func:`repro.harness.kernels.kmeans_assign` (vectorized
-    numpy or the pure-Python fallback, selected at import).
+    Delegates to :func:`repro.harness.kernels.kmeans_assign`.
     """
     return kmeans_assign(points, centroids)
 

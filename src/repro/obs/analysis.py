@@ -38,14 +38,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.errors import ValidationError
-from repro.smpi.trace import TraceEvent, Tracer
+from repro.smpi.trace import SEND_PRIMITIVES, TraceEvent, Tracer
 
 _EPS = 1e-12
 
-#: primitives that open a message (the sending call itself)
-_SEND_PRIMITIVES = frozenset(
-    {"MPI_Send", "MPI_Isend", "MPI_Ssend", "MPI_Bsend", "MPI_Sendrecv"}
-)
 #: primitives that can close a message on the receiving rank
 _RECV_PRIMITIVES = frozenset({"MPI_Recv", "MPI_Wait"})
 
@@ -90,7 +86,7 @@ def match_messages(trace: Union[Tracer, Iterable[TraceEvent]]) -> list[MessageMa
             by_msg[e.msg_id].append(e)
     out = []
     for msg_id, events in sorted(by_msg.items()):
-        sends = [e for e in events if e.primitive in _SEND_PRIMITIVES]
+        sends = [e for e in events if e.primitive in SEND_PRIMITIVES]
         if not sends:
             continue
         send = min(sends, key=lambda e: e.t_start)

@@ -34,11 +34,11 @@ class Workload:
     runner: Callable[..., "RunResult"]
 
 
-def _run_ring(nprocs: int, **params: Any) -> "RunResult":
+def _run_ring(nprocs: int, *, value: Any = None, **run: Any) -> "RunResult":
     from repro import smpi
     from repro.modules.module1_comm import ring_exchange
 
-    return smpi.launch(nprocs, ring_exchange, **params)
+    return smpi.launch(nprocs, ring_exchange, value=value, **run)
 
 
 def _run_pingpong(

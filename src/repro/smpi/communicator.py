@@ -63,25 +63,7 @@ class Comm:
         self._errhandler = ERRORS_ARE_FATAL
         self._acked: frozenset[int] = frozenset()  # acknowledged failed world ranks
         self._freed = False
-        # Per-message counter cache: the registry resolves a counter by
-        # building a sorted label tuple under a lock, which costs more
-        # than the message matching itself on the fast path.  Counters
-        # are stable objects, so memoize them per (name, peer, primitive)
-        # — the rank label is fixed for this Comm.
-        self._counter_cache: dict[tuple, Any] = {}
-
-    def _hot_counter(self, name: str, peer: Optional[int], primitive: Optional[str]):
-        key = (name, peer, primitive)
-        ctr = self._counter_cache.get(key)
-        if ctr is None:
-            labels: dict[str, Any] = {"rank": self._world_rank}
-            if peer is not None:
-                labels["peer"] = peer
-            if primitive is not None:
-                labels["primitive"] = primitive
-            ctr = self.world.metrics.counter(name, **labels)
-            self._counter_cache[key] = ctr
-        return ctr
+        self._tally = world.tallies[self._world_rank]
 
     # -- identity ----------------------------------------------------------
 
@@ -376,74 +358,53 @@ class Comm:
             # any duplicate envelopes; a dropped message is never delivered
             # but the sender proceeds normally — exactly a lost packet.
             dropped, duplicates = inj.finalize_send(decision, env)
-        self._hot_counter("smpi.bytes_sent", world_dst, primitive).inc(nbytes)
-        self._hot_counter("smpi.messages_sent", None, primitive).inc()
-        if not rendezvous:
-            with self.world.lock:
-                self.world.check_abort_locked()
-                if not dropped:
-                    self.world.deliver_locked(env)
-                for dup in duplicates:
-                    self.world.deliver_locked(dup)
-            overhead = self.world.ptp_overhead(src, world_dst)
-            self._clock.advance(overhead)
-            self.world.tracer.record(
-                src, "p2p", primitive, nbytes, ts, self._clock.now,
-                peer=world_dst, cid=self.cid, msg_id=env.seq,
-            )
-            if mode == "isend":
-                # The request is already satisfied, but completion is
-                # observed (and traced as MPI_Wait) at wait/test time so
-                # the student's call pattern shows up in the trace.
-                req = Request(self, "isend")
-                req._eager_status = Status(  # type: ignore[attr-defined]
-                    source=self._rank, tag=tag, nbytes=nbytes
-                )
-                self._sanitize_request(req, obj)
-                return req
-            return None
-        # Rendezvous path.
-        if mode == "isend":
-            with self.world.lock:
-                self.world.check_abort_locked()
-                if not dropped:
-                    self.world.deliver_locked(env)
-                for dup in duplicates:
-                    self.world.deliver_locked(dup)
-            self.world.tracer.record(
-                src, "p2p", primitive, nbytes, ts, ts,
-                peer=world_dst, cid=self.cid, msg_id=env.seq,
-            )
-            req = Request(self, "isend")
-            req._env = env  # type: ignore[attr-defined]
-            req._send_tag = tag  # type: ignore[attr-defined]
-            self._sanitize_request(req, obj)
-            return req
+        tally = self._tally[(world_dst, primitive)]
+        tally[0] += 1
+        tally[1] += nbytes
+        blocking_rendezvous = rendezvous and mode != "isend"
         with self.world.lock:
             self.world.check_abort_locked()
             if not dropped:
                 self.world.deliver_locked(env)
             for dup in duplicates:
                 self.world.deliver_locked(dup)
-            self.world.block(
-                src,
-                take=lambda: env.completion_time,
-                can_proceed=lambda: env.completion_time is not None,
-                description=(
-                    f"{primitive}(dest={dest}, tag={tag}, {nbytes} B, rendezvous) "
-                    f"waiting for a matching recv"
-                ),
-                failure=self._crashed_peer_failure(
-                    world_dst, f"{primitive}(dest={dest})"
-                ),
-                cid=self.cid,
-            )
-        self._clock.advance_to(env.completion_time)
+            if blocking_rendezvous:
+                self.world.block(
+                    src,
+                    take=lambda: env.completion_time,
+                    can_proceed=lambda: env.completion_time is not None,
+                    description=(
+                        f"{primitive}(dest={dest}, tag={tag}, {nbytes} B, rendezvous) "
+                        f"waiting for a matching recv"
+                    ),
+                    failure=self._crashed_peer_failure(
+                        world_dst, f"{primitive}(dest={dest})"
+                    ),
+                    cid=self.cid,
+                )
+        if blocking_rendezvous:
+            self._clock.advance_to(env.completion_time)
+        elif not rendezvous:
+            self._clock.advance(self.world.ptp_overhead(src, world_dst))
+        # A rendezvous isend is only posted here: it ends where it began.
         self.world.tracer.record(
             src, "p2p", primitive, nbytes, ts, self._clock.now,
             peer=world_dst, cid=self.cid, msg_id=env.seq,
         )
-        return None
+        if mode != "isend":
+            return None
+        req = Request(self, "isend")
+        if rendezvous:
+            req._env = env  # type: ignore[attr-defined]
+        else:
+            # The request is already satisfied, but completion is
+            # observed (and traced as MPI_Wait) at wait/test time so
+            # the student's call pattern shows up in the trace.
+            req._eager_status = Status(  # type: ignore[attr-defined]
+                source=self._rank, tag=tag, nbytes=nbytes
+            )
+        self._sanitize_request(req, obj)
+        return req
 
     # -- point-to-point: receives ----------------------------------------------
 
@@ -524,7 +485,7 @@ class Comm:
             me, "p2p", "MPI_Recv", env.nbytes, t_post, self._clock.now,
             peer=env.source, cid=self.cid, msg_id=env.seq,
         )
-        self._hot_counter("smpi.bytes_recv", env.source, None).inc(env.nbytes)
+        self._tally[(env.source, None)][1] += env.nbytes
         self._fill_status(status, env)
         return env.payload
 
@@ -668,7 +629,7 @@ class Comm:
             me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock.now,
             peer=env.source, cid=env.comm_cid, msg_id=env.seq,
         )
-        self._hot_counter("smpi.bytes_recv", env.source, None).inc(env.nbytes)
+        self._tally[(env.source, None)][1] += env.nbytes
         status = Status()
         self._fill_status(status, env)
         payload = env.payload

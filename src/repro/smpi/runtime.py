@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -155,6 +156,10 @@ class World:
         #: rescued by the fallback poll, i.e. a targeted notify went
         #: missing (the lost-wakeup bug class this design removes).
         self.wakeup_stats = {"targeted": 0, "broadcast": 0, "missed": 0}
+        #: per-rank message tallies, ``(peer, primitive) -> [messages,
+        #: bytes]`` (primitive ``None`` for receives).  Each is written
+        #: only by its own rank's thread, so it takes no lock.
+        self.tallies = [defaultdict(lambda: [0, 0]) for _ in range(nprocs)]
         self.queues = [MatchingQueues(r) for r in range(nprocs)]
         self.clocks = [VirtualClock() for _ in range(nprocs)]
         self.live: set[int] = set(range(nprocs))
@@ -609,11 +614,24 @@ class World:
     def publish_runtime_counters(self) -> None:
         """Fold the raw fast-path counters into the metrics registry.
 
-        Wakeup and match accounting is kept as plain ints on the hot path
-        (a registry lookup per message would cost more than the matching
-        itself); :func:`launch` publishes them once, after the rank
-        threads join, as ``smpi.wakeups.*`` and ``smpi.match.*``.
+        Message, wakeup and match accounting is kept as plain ints on the
+        hot path (a registry lookup per message would cost more than the
+        matching itself); :func:`launch` publishes them once, after the
+        rank threads join, as ``smpi.bytes_sent``/``messages_sent``/
+        ``bytes_recv``, ``smpi.wakeups.*`` and ``smpi.match.*``.
         """
+        counter = self.metrics.counter
+        for rank, tally in enumerate(self.tallies):
+            for (peer, primitive), (messages, nbytes) in tally.items():
+                if primitive is None:
+                    counter("smpi.bytes_recv", rank=rank, peer=peer).inc(nbytes)
+                    continue
+                counter(
+                    "smpi.bytes_sent", rank=rank, peer=peer, primitive=primitive
+                ).inc(nbytes)
+                counter("smpi.messages_sent", rank=rank, primitive=primitive).inc(
+                    messages
+                )
         for key, value in self.wakeup_stats.items():
             self.metrics.counter(f"smpi.wakeups.{key}").inc(value)
         totals: dict[str, int] = {}

@@ -58,6 +58,12 @@ class TraceEvent:
         return self.t_end - self.t_start
 
 
+#: primitives that represent an outgoing message (the sending call itself)
+SEND_PRIMITIVES = frozenset(
+    {"MPI_Send", "MPI_Isend", "MPI_Ssend", "MPI_Bsend", "MPI_Sendrecv"}
+)
+
+
 @dataclass
 class TraceSummary:
     """Aggregated view of a trace (optionally restricted to one rank)."""
@@ -82,7 +88,7 @@ class TraceSummary:
         total = self.total_time
         return self.comm_time / total if total > 0 else 0.0
 
-    def _add(self, event: TraceEvent, send_like: frozenset[str]) -> None:
+    def _add(self, event: TraceEvent) -> None:
         """Fold one event in (the incremental-maintenance hook).
 
         ``fault``-category events (injected by :mod:`repro.faults`)
@@ -95,7 +101,7 @@ class TraceSummary:
             self.p2p_time += event.duration
         elif event.category == "collective":
             self.collective_time += event.duration
-        if event.primitive in send_like:
+        if event.primitive in SEND_PRIMITIVES:
             self.bytes_sent += event.nbytes
             self.messages_sent += 1
         if event.category != "compute":
@@ -109,11 +115,6 @@ class TraceSummary:
 
 class Tracer:
     """Thread-safe event recorder shared by all ranks of a world."""
-
-    #: primitives that represent an outgoing message (counted as volume)
-    _SEND_LIKE = frozenset(
-        {"MPI_Send", "MPI_Isend", "MPI_Ssend", "MPI_Bsend", "MPI_Sendrecv"}
-    )
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -140,7 +141,7 @@ class Tracer:
         )
         with self._lock:
             self._events.append(event)
-            self._summary._add(event, self._SEND_LIKE)
+            self._summary._add(event)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -183,7 +184,7 @@ class Tracer:
         for e in self.events:
             if e.rank != rank:
                 continue
-            out._add(e, self._SEND_LIKE)
+            out._add(e)
         return out
 
     def events_for(self, rank: int) -> Iterable[TraceEvent]:

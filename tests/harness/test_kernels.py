@@ -1,16 +1,9 @@
-"""Backend parity for the vectorized module kernels.
+"""The vectorized module kernels against short independent references.
 
-``repro.harness.kernels`` selects numpy or the pure-Python fallback at
-import time; the modules' numerics must not depend on which backend won.
-These tests run both implementations side by side (forcing the python
-path in a subprocess, since the selection is an import-time decision)
-and assert the results agree.
+Each reference below is written from the kernel's definition — plain
+norms, a full squared-distance ``argmin``, masked sums, a histogram walk —
+and shares no code or formula trick with ``repro.harness.kernels``.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,80 +11,110 @@ import pytest
 from repro.harness import kernels
 
 
-def _python_backend(snippet: str) -> dict:
-    """Run ``snippet`` under REPRO_PURE_PYTHON_KERNELS=1 in a fresh
-    interpreter; the snippet must print one JSON object."""
-    env = dict(os.environ, REPRO_PURE_PYTHON_KERNELS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (env.get("PYTHONPATH"), "src") if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        check=True,
-    )
-    return json.loads(out.stdout)
+def _ref_pairwise(a, b):
+    return np.array([[np.linalg.norm(x - y) for y in b] for x in a])
 
 
-def test_numpy_backend_selected_by_default():
-    assert kernels.HAVE_NUMPY
-    assert kernels.KERNEL_BACKEND == "numpy"
+def _ref_assign(points, centroids):
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
 
 
-def test_pairwise_block_backends_agree():
+def _ref_update(points, labels, k):
+    sums = np.array([points[labels == j].sum(axis=0) for j in range(k)])
+    counts = np.array([float((labels == j).sum()) for j in range(k)])
+    return sums, counts
+
+
+def _ref_centroids(sums, counts, previous):
+    return np.array([
+        sums[j] / counts[j] if counts[j] > 0 else previous[j]
+        for j in range(len(counts))
+    ])
+
+
+def _ref_histogram_cuts(sample, p, bins):
+    """Equal-mass cuts by walking a uniform-bin histogram (the rightmost
+    bin closed on both sides) and interpolating linearly within a bin,
+    clamped at the ends."""
+    values = [float(v) for v in sample]
+    lo, hi = min(values), max(values)
+    width = (hi - lo) / bins if hi > lo else 1.0
+    counts = [0] * bins
+    for v in values:
+        idx = min(int((v - lo) / width), bins - 1) if hi > lo else 0
+        counts[idx] += 1
+    edges = [lo + i * width for i in range(bins + 1)] if hi > lo else [lo, lo + 1.0]
+    cumulative = [0.0]
+    for c in counts:
+        cumulative.append(cumulative[-1] + c)
+    n = len(values)
+    cuts = []
+    for j in range(1, p):
+        target = j * n / p
+        if target <= cumulative[0]:
+            cuts.append(edges[0])
+            continue
+        if target >= cumulative[-1]:
+            cuts.append(edges[-1])
+            continue
+        for i in range(1, len(cumulative)):
+            if target <= cumulative[i]:
+                lo_c, hi_c = cumulative[i - 1], cumulative[i]
+                frac = 0.0 if hi_c == lo_c else (target - lo_c) / (hi_c - lo_c)
+                cuts.append(edges[i - 1] + frac * (edges[i] - edges[i - 1]))
+                break
+    return np.array(cuts)
+
+
+def test_pairwise_block_matches_reference():
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
-    fast = kernels.pairwise_block(a, b)
-    got = _python_backend(
-        "import json, numpy as np\n"
-        "from repro.harness import kernels\n"
-        "assert kernels.KERNEL_BACKEND == 'python', kernels.KERNEL_BACKEND\n"
-        "rng = np.random.default_rng(7)\n"
-        "a, b = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))\n"
-        "print(json.dumps(np.asarray(kernels.pairwise_block(a, b)).tolist()))\n"
+    np.testing.assert_allclose(
+        kernels.pairwise_block(a, b), _ref_pairwise(a, b), rtol=1e-10, atol=1e-12
     )
-    np.testing.assert_allclose(np.asarray(got), fast, rtol=1e-10, atol=1e-12)
+    # The diagonal of a self-block clips to exactly zero, never NaN.
+    self_block = kernels.pairwise_block(a, a)
+    assert not np.isnan(self_block).any()
+    np.testing.assert_allclose(np.diag(self_block), 0.0, atol=1e-7)
 
 
-def test_kmeans_kernels_backends_agree():
+def test_kmeans_assign_matches_reference():
     rng = np.random.default_rng(3)
-    pts, cen = rng.normal(size=(40, 3)), rng.normal(size=(5, 3))
-    labels = kernels.kmeans_assign(pts, cen)
-    sums, counts = kernels.kmeans_update(pts, labels, 5)
-    new = kernels.centroid_step(sums, counts, cen)
-    got = _python_backend(
-        "import json, numpy as np\n"
-        "from repro.harness import kernels\n"
-        "rng = np.random.default_rng(3)\n"
-        "pts, cen = rng.normal(size=(40, 3)), rng.normal(size=(5, 3))\n"
-        "labels = kernels.kmeans_assign(pts, cen)\n"
-        "sums, counts = kernels.kmeans_update(pts, labels, 5)\n"
-        "new = kernels.centroid_step(sums, counts, cen)\n"
-        "print(json.dumps({'labels': np.asarray(labels).tolist(),"
-        " 'sums': np.asarray(sums).tolist(),"
-        " 'counts': np.asarray(counts).tolist(),"
-        " 'new': np.asarray(new).tolist()}))\n"
+    pts, cen = rng.normal(size=(200, 3)), rng.normal(size=(5, 3))
+    np.testing.assert_array_equal(
+        kernels.kmeans_assign(pts, cen), _ref_assign(pts, cen)
     )
-    np.testing.assert_array_equal(np.asarray(got["labels"]), labels)
-    np.testing.assert_allclose(np.asarray(got["sums"]), sums, rtol=1e-10)
-    np.testing.assert_allclose(np.asarray(got["counts"]), counts)
-    np.testing.assert_allclose(np.asarray(got["new"]), new, rtol=1e-10)
 
 
-def test_histogram_cuts_backends_agree():
+def test_kmeans_update_and_centroid_step_match_reference():
+    rng = np.random.default_rng(4)
+    k = 5
+    pts = rng.normal(size=(60, 3))
+    # Cluster 3 gets no points: it must keep its previous centroid.
+    labels = rng.choice([0, 1, 2, 4], size=len(pts))
+    previous = rng.normal(size=(k, 3))
+    sums, counts = kernels.kmeans_update(pts, labels, k)
+    ref_sums, ref_counts = _ref_update(pts, labels, k)
+    np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert counts[3] == 0.0
+    new = kernels.centroid_step(sums, counts, previous)
+    np.testing.assert_allclose(
+        new, _ref_centroids(ref_sums, ref_counts, previous), rtol=1e-12
+    )
+    np.testing.assert_array_equal(new[3], previous[3])
+
+
+@pytest.mark.parametrize("p, bins", [(8, 64), (4, 7), (2, 1)])
+def test_histogram_cuts_matches_reference(p, bins):
     rng = np.random.default_rng(11)
     sample = rng.exponential(size=500)
-    fast = kernels.histogram_cuts(sample, p=8, bins=64)
-    got = _python_backend(
-        "import json, numpy as np\n"
-        "from repro.harness import kernels\n"
-        "rng = np.random.default_rng(11)\n"
-        "sample = rng.exponential(size=500)\n"
-        "print(json.dumps(np.asarray("
-        "kernels.histogram_cuts(sample, p=8, bins=64)).tolist()))\n"
+    np.testing.assert_allclose(
+        kernels.histogram_cuts(sample, p=p, bins=bins),
+        _ref_histogram_cuts(sample, p, bins),
+        rtol=1e-9, atol=1e-12,
     )
-    np.testing.assert_allclose(np.asarray(got), fast, rtol=1e-9, atol=1e-12)
 
 
 def test_modules_route_through_kernels():
@@ -118,30 +141,30 @@ def test_modules_route_through_kernels():
 
 
 @pytest.mark.parametrize("nprocs", [1, 4])
-def test_module_results_identical_across_backends(nprocs):
-    """End-to-end: a distributed k-means run reaches the same centroids
-    under either backend (virtual-time charging is backend-independent)."""
+def test_distributed_kmeans_matches_reference(nprocs):
+    """End-to-end: distributed k-means reaches the centroids of a serial
+    Lloyd loop built from the reference kernels above."""
     from repro import smpi
-    from repro.modules.module5_kmeans import kmeans_distributed
+    from repro.data import gaussian_mixture
+    from repro.modules.module5_kmeans import initial_centroids, kmeans_distributed
 
-    out = smpi.run(nprocs, kmeans_distributed, n=120, k=3, max_iter=5, seed=2)
-    fast = out[0]
-    got = _python_backend(
-        "import json\n"
-        "from repro import smpi\n"
-        "from repro.modules.module5_kmeans import kmeans_distributed\n"
-        f"out = smpi.run({nprocs}, kmeans_distributed, n=120, k=3, max_iter=5, seed=2)\n"
-        "r = out[0]\n"
-        "print(json.dumps({'centroids': r.centroids.tolist(),"
-        " 'inertia': r.inertia, 'iterations': r.iterations,"
-        " 'compute_time': r.compute_time, 'comm_time': r.comm_time}))\n"
-    )
-    np.testing.assert_allclose(
-        np.asarray(got["centroids"]), fast.centroids, rtol=1e-9
-    )
-    assert got["iterations"] == fast.iterations
-    assert got["inertia"] == pytest.approx(fast.inertia, rel=1e-9)
-    # The roofline charge is computed from analytic constants, not from
-    # the kernel implementation: virtual time must match exactly.
-    assert got["compute_time"] == pytest.approx(fast.compute_time, rel=1e-12)
-    assert got["comm_time"] == pytest.approx(fast.comm_time, rel=1e-12)
+    n, k, max_iter, seed = 120, 3, 5, 2
+    out = smpi.run(
+        nprocs, kmeans_distributed, n=n, k=k, max_iter=max_iter, seed=seed
+    )[0]
+    points, _, _ = gaussian_mixture(n, k, 2, seed=seed)
+    centroids = initial_centroids(points, k, seed=seed)
+    iterations = 0
+    for _ in range(max_iter):
+        labels = _ref_assign(points, centroids)
+        new = _ref_centroids(*_ref_update(points, labels, k), centroids)
+        iterations += 1
+        shift = float(np.abs(new - centroids).max())
+        centroids = new
+        if shift <= 1e-12:
+            break
+    labels = _ref_assign(points, centroids)
+    inertia = float(((points - centroids[labels]) ** 2).sum())
+    np.testing.assert_allclose(out.centroids, centroids, rtol=1e-9)
+    assert out.iterations == iterations
+    assert out.inertia == pytest.approx(inertia, rel=1e-9)

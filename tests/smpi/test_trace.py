@@ -127,7 +127,7 @@ def test_incremental_summary_matches_recompute():
     fast = out.tracer.summary()
     slow = smpi.trace.TraceSummary()
     for e in out.tracer.events:
-        slow._add(e, Tracer._SEND_LIKE)
+        slow._add(e)
     assert fast.compute_time == pytest.approx(slow.compute_time)
     assert fast.p2p_time == pytest.approx(slow.p2p_time)
     assert fast.collective_time == pytest.approx(slow.collective_time)

@@ -51,6 +51,39 @@ def test_bad_input_is_a_one_line_usage_error(argv, code, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, key",
+    [
+        (["trace", "ring", "-p", "bogus=1"], 2, "'bogus'"),
+        (["trace", "kmeans", "-p", "k=abc"], 2, "'k'"),
+        (["trace", "kmeans", "-p", "k=true"], 2, "'k'"),
+        (["trace", "stencil", "-p", "overlap=1"], 2, "'overlap'"),
+        (["sanitize", "kmeans", "-p", "k=abc"], 3, "'k'"),
+        (["faults", "ring", "-p", "bogus=1"], 2, "'bogus'"),
+        (["recover", "kmeans", "-p", "max_iter=2.5"], 2, "'max_iter'"),
+    ],
+)
+def test_bad_param_is_a_one_line_error_naming_the_key(argv, code, key, capsys):
+    """A -p key the workload does not take, or a value of the wrong type,
+    is rejected before any world runs, naming the offending key."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err
+
+
+def test_param_types_follow_the_defaults(capsys):
+    """An int is accepted where the default is a float, and a parameter
+    that defaults to None takes any JSON value."""
+    assert main(
+        ["trace", "resilient", "-n", "2",
+         "-p", "n_terms=64", "-p", "shard_timeout=1"]
+    ) == 0
+    assert main(["trace", "ring", "-n", "2", "-p", "value=[1, 2]"]) == 0
+    capsys.readouterr()
+
+
 def test_bad_input_exit_code_from_the_command_line():
     import os
     import subprocess

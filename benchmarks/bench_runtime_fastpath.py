@@ -12,6 +12,10 @@ runtime's wakeup accounting:
   drained by exact-source receives, the workload the ``(cid, source,
   tag)`` mailbox index and targeted wakeups exist for.
 
+Each pattern runs twice: with ``trace=False`` (the runtime alone) and,
+as ``<pattern>_traced``, with ``trace=True`` — ``smpi.launch``'s default,
+the path every module, CLI command and test takes.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_runtime_fastpath.py \
@@ -33,6 +37,7 @@ not a slow machine.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
@@ -51,6 +56,8 @@ PATTERNS = (
     ("fanin", fanin_storm, {2: 2000, 8: 400, 32: 100, 64: 50}),
 )
 DEFAULT_RANKS = (2, 8, 32, 64)
+#: (trace flag, pattern-name suffix): untraced cells first, then traced.
+TRACE_MODES = ((False, ""), (True, "_traced"))
 
 
 def calibrate(loops: int = 300_000) -> float:
@@ -72,13 +79,13 @@ def calibrate(loops: int = 300_000) -> float:
     return best
 
 
-def run_cell(workload, nprocs: int, messages: int, reps: int) -> dict:
-    """Median-of-``reps`` msgs/s for one (pattern, ranks) cell."""
+def run_cell(workload, nprocs: int, messages: int, reps: int, trace: bool) -> dict:
+    """Median-of-``reps`` msgs/s for one (pattern, ranks, trace) cell."""
     rates = []
     wakeups = {}
     for _ in range(reps):
         t0 = time.perf_counter()
-        out = smpi.launch(nprocs, workload, messages=messages, trace=False)
+        out = smpi.launch(nprocs, workload, messages=messages, trace=trace)
         dt = time.perf_counter() - t0
         total = sum(out.results)
         rates.append(total / dt)
@@ -106,16 +113,17 @@ def run_bench(ranks=DEFAULT_RANKS, reps: int = 5) -> dict:
         "reps": reps,
         "patterns": {},
     }
-    for name, workload, sizes in PATTERNS:
+    for (trace, suffix), (name, workload, sizes) in itertools.product(TRACE_MODES, PATTERNS):
+        name += suffix
         cells = []
         for nprocs in ranks:
             if nprocs not in sizes:
                 continue
-            cell = run_cell(workload, nprocs, sizes[nprocs], reps)
+            cell = run_cell(workload, nprocs, sizes[nprocs], reps, trace)
             cell["score"] = round(cell["msgs_per_s"] / calib, 2)
             cells.append(cell)
             print(
-                f"{name:6s} ranks={nprocs:3d} "
+                f"{name:12s} ranks={nprocs:3d} "
                 f"msgs/s={cell['msgs_per_s']:>9,} score={cell['score']:7.2f} "
                 f"wakeups(targeted={cell['wakeups']['targeted']}, "
                 f"broadcast={cell['wakeups']['broadcast']}, "
@@ -139,7 +147,7 @@ def check_regression(results: dict, baseline_path: Path, threshold: float) -> in
             floor = base["score"] * (1.0 - threshold)
             status = "ok " if cell["score"] >= floor else "REG"
             print(
-                f"{status} {name:6s} ranks={cell['ranks']:3d} "
+                f"{status} {name:12s} ranks={cell['ranks']:3d} "
                 f"score={cell['score']:.2f} baseline={base['score']:.2f} "
                 f"floor={floor:.2f}"
             )

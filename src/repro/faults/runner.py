@@ -20,6 +20,7 @@ seed + same plan ⇒ the same digest, run after run.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -34,15 +35,16 @@ def canonical_trace(events: list[Any], nprocs: int) -> bytes:
     The global event list interleaves rank threads nondeterministically
     and ``msg_id`` values come from a process-global counter, but each
     rank's *subsequence* is its deterministic program order.  So:
-    group by rank, and remap message ids to their order of first
-    appearance in that grouped stream.
+    group by rank (one pass), and remap message ids to their order of
+    first appearance in that grouped stream.
     """
+    by_rank: dict[int, list[Any]] = defaultdict(list)
+    for e in events:
+        by_rank[e.rank].append(e)
     remap: dict[int, int] = {}
     lines: list[bytes] = []
     for rank in range(nprocs):
-        for e in events:
-            if e.rank != rank:
-                continue
+        for e in by_rank.get(rank, ()):
             if e.msg_id >= 0 and e.msg_id not in remap:
                 remap[e.msg_id] = len(remap)
             mid = remap.get(e.msg_id, -1) if e.msg_id >= 0 else -1

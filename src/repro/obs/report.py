@@ -8,21 +8,25 @@ experiment reports.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.obs.analysis import CriticalPath, LoadImbalance, WaitStateReport
 from repro.obs.metrics import MetricsRegistry
-from repro.smpi.trace import Tracer
+from repro.smpi.trace import Tracer, TraceSummary
 from repro.util.tables import TextTable
 
 
 def render_rank_summary(tracer: Tracer, title: str = "Per-rank breakdown") -> str:
     """Compute/p2p/collective split per rank, Module-5 style."""
-    ranks = sorted({e.rank for e in tracer.events})
+    per_rank: dict[int, TraceSummary] = defaultdict(TraceSummary)
+    for e in tracer.events:
+        per_rank[e.rank]._add(e)
     table = TextTable(
         ["Rank", "Compute (s)", "P2P (s)", "Collective (s)", "Comm frac", "Bytes sent"],
         title=title,
     )
-    for rank in ranks:
-        s = tracer.summary(rank)
+    for rank in sorted(per_rank):
+        s = per_rank[rank]
         table.add_row(
             [
                 rank, s.compute_time, s.p2p_time, s.collective_time,

@@ -19,21 +19,21 @@ linking the two ends of each matched message, from which the Chrome-trace
 exporter draws flow arrows and the wait-state/critical-path analyses
 rebuild the dependency graph.
 
-The global :meth:`Tracer.summary` is maintained *incrementally* at
-record time — calls on a hot path (progress displays, adaptive
-benchmarks) do not rescan the whole event list.  Per-rank summaries are
-recomputed on demand from the event list.
+Tracing is on by default, so :meth:`Tracer.record` is one tuple and one
+``list.append`` (atomic under the GIL): no lock, no aggregation.  The
+whole-trace :meth:`Tracer.summary` is folded *on read*, adding the
+events appended since the last read in list order — O(1) amortised, and
+bit-identical to an eager fold.  Per-rank summaries rescan the events.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One traced operation on one rank (virtual times in seconds).
 
     ``peer`` is the other side's *world* rank: the destination of a send,
@@ -89,7 +89,7 @@ class TraceSummary:
         return self.comm_time / total if total > 0 else 0.0
 
     def _add(self, event: TraceEvent) -> None:
-        """Fold one event in (the incremental-maintenance hook).
+        """Fold one event in.
 
         ``fault``-category events (injected by :mod:`repro.faults`)
         contribute to ``primitive_counts`` but to none of the time
@@ -114,76 +114,63 @@ class TraceSummary:
 
 
 class Tracer:
-    """Thread-safe event recorder shared by all ranks of a world."""
+    """Event recorder shared by all ranks of a world: ranks append
+    lock-free, readers fold the new tail into the summary under ``_lock``."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._events: list[TraceEvent] = []
         self._lock = threading.Lock()
         self._summary = TraceSummary()
+        self._folded = 0  # events already in ``_summary``
 
-    def record(
-        self,
-        rank: int,
-        category: str,
-        primitive: str,
-        nbytes: int,
-        t_start: float,
-        t_end: float,
-        peer: int = -1,
-        cid: int = -1,
-        msg_id: int = -1,
-    ) -> None:
-        if not self.enabled:
-            return
-        event = TraceEvent(
-            rank, category, primitive, nbytes, t_start, t_end, peer, cid, msg_id
-        )
-        with self._lock:
-            self._events.append(event)
-            self._summary._add(event)
+    def record(self, rank: int, category: str, primitive: str, nbytes: int,
+               t_start: float, t_end: float, peer: int = -1, cid: int = -1,
+               msg_id: int = -1) -> None:
+        if self.enabled:  # tuple.__new__ skips the NamedTuple's Python-level __new__
+            self._events.append(tuple.__new__(TraceEvent, (
+                rank, category, primitive, nbytes, t_start, t_end, peer, cid, msg_id)))
 
     @property
     def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._events)
+        return self._events.copy()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
             self._summary = TraceSummary()
+            self._folded = 0
+
+    def _fold(self) -> TraceSummary:
+        """Fold the events recorded since the last read in (holding ``_lock``)."""
+        tail = self._events[self._folded:]
+        for e in tail:
+            self._summary._add(e)
+        self._folded += len(tail)
+        return self._summary
 
     def primitives_used(self, rank: Optional[int] = None) -> set[str]:
         """Names of MPI primitives any (or one) rank invoked."""
         if rank is None:
             with self._lock:
-                return {
-                    p for p, n in self._summary.primitive_counts.items() if n > 0
-                }
-        return {
-            e.primitive
-            for e in self.events
-            if e.category != "compute" and e.rank == rank
-        }
+                return set(self._fold().primitive_counts)
+        return {e.primitive for e in self.events_for(rank) if e.category != "compute"}
 
     def summary(self, rank: Optional[int] = None) -> TraceSummary:
         """Aggregate times/volumes over all events (or one rank's).
 
-        The whole-trace summary is O(1): it returns a copy of the
-        aggregate maintained at :meth:`record` time.  Per-rank summaries
-        walk the event list (the rarely-hot path).
+        The whole-trace summary is O(1) amortised: a copy of the running
+        aggregate after folding in the events recorded since the last
+        read.  Per-rank summaries walk the event list.
         """
         if rank is None:
             with self._lock:
-                return self._summary.copy()
+                return self._fold().copy()
         out = TraceSummary()
-        for e in self.events:
-            if e.rank != rank:
-                continue
+        for e in self.events_for(rank):
             out._add(e)
         return out
 

@@ -3,10 +3,13 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
 from repro.faults import FaultPlan, run_under_faults, trace_digest
 from repro.faults.runner import OUTCOMES, canonical_trace
+from repro.obs.workloads import run_workload
+from repro.smpi.trace import TraceEvent
 
 
 @dataclass
@@ -46,6 +49,59 @@ class TestCanonicalTrace:
         a = [_Ev(0, "compute", "compute", 0, 0.0, 1.0)]
         b = [_Ev(0, "compute", "compute", 0, 0.0, 2.0)]
         assert trace_digest(a, 1) != trace_digest(b, 1)
+
+
+def _reference_canonical_trace(events, nprocs):
+    """The original nested loop: one scan of the whole list per rank."""
+    remap, lines = {}, []
+    for rank in range(nprocs):
+        for e in events:
+            if e.rank != rank:
+                continue
+            if e.msg_id >= 0 and e.msg_id not in remap:
+                remap[e.msg_id] = len(remap)
+            mid = remap.get(e.msg_id, -1) if e.msg_id >= 0 else -1
+            lines.append(
+                (
+                    f"{rank}|{e.category}|{e.primitive}|{e.nbytes}|"
+                    f"{e.t_start:.12g}|{e.t_end:.12g}|{e.peer}|{e.cid}|{mid}"
+                ).encode()
+            )
+    return b"\n".join(lines)
+
+
+_events = st.lists(
+    st.builds(
+        TraceEvent,
+        rank=st.integers(-1, 5),  # includes ranks outside range(nprocs)
+        category=st.sampled_from(["compute", "p2p", "collective", "fault"]),
+        primitive=st.sampled_from(["compute", "MPI_Send", "MPI_Recv", "MPI_Bcast"]),
+        nbytes=st.integers(0, 1 << 20),
+        t_start=st.floats(0.0, 10.0),
+        t_end=st.floats(0.0, 10.0),
+        peer=st.integers(-1, 5),
+        cid=st.integers(-1, 3),
+        msg_id=st.integers(-1, 12),
+    ),
+    max_size=60,
+)
+
+
+class TestCanonicalTraceOnePass:
+    """The bucketed single pass is byte-identical to the nested loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_events, nprocs=st.integers(0, 5))
+    def test_matches_nested_loop(self, events, nprocs):
+        assert canonical_trace(events, nprocs) == _reference_canonical_trace(events, nprocs)
+
+    def test_matches_nested_loop_on_a_faulted_32_rank_run(self):
+        plan = FaultPlan(seed=11).drop(probability=0.2).delay(1e-4, probability=0.3)
+        out = run_workload("randomcomm", nprocs=32, faults=plan, check=False)
+        events = out.world.tracer.events
+        assert any(e.category == "fault" for e in events)
+        assert len({e.rank for e in events}) == 32
+        assert canonical_trace(events, 32) == _reference_canonical_trace(events, 32)
 
 
 class TestOutcomes:

@@ -1,12 +1,14 @@
 """Tracer: primitive recording, time breakdown, volumes."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import smpi
-from repro.smpi.trace import Tracer
+from repro.smpi.trace import TraceEvent, Tracer, TraceSummary
 
 
 def test_primitives_recorded():
@@ -195,3 +197,123 @@ def test_events_have_monotone_times():
             assert a.t_end <= b.t_start + 1e-12
         for e in events:
             assert e.duration >= 0
+
+
+# -- the lock-free recorder and the summary folded on read -------------------
+
+_records = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(["compute", "p2p", "collective", "fault"]),
+        st.sampled_from(["compute", "MPI_Send", "MPI_Isend", "MPI_Recv", "MPI_Bcast"]),
+        st.integers(0, 1 << 16),
+        st.floats(0.0, 1e3, allow_nan=False),
+        st.floats(0.0, 1e3, allow_nan=False),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_records, reads=st.sets(st.integers(0, 80)))
+def test_folded_summary_equals_eager_fold_exactly(records, reads):
+    """Reading the summary at any points between records never changes
+    the result: it is the eager left-to-right ``_add`` fold, floats
+    compared with ``==``."""
+    tracer = Tracer()
+    eager = TraceSummary()
+    for i, rec in enumerate(records):
+        if i in reads:
+            assert tracer.summary() == eager
+            assert tracer.primitives_used() == set(eager.primitive_counts)
+        tracer.record(*rec)
+        eager._add(TraceEvent(*rec))
+    assert tracer.summary() == eager  # dataclass ==: float sums compared exactly
+
+
+def test_summary_readers_racing_recorders_lose_and_double_count_nothing():
+    tracer = Tracer()
+    n_ranks, n_events = 8, 5000
+    start = threading.Barrier(n_ranks + 2)
+    done = threading.Event()
+    seen: list[list[int]] = [[], []]
+
+    def recorder(rank):
+        start.wait()
+        for i in range(n_events):
+            tracer.record(rank, "p2p", "MPI_Send", 8, 0.0, 0.5, msg_id=i)
+
+    def reader(out):
+        start.wait()
+        while not done.is_set():
+            out.append(tracer.summary().messages_sent)
+            tracer.primitives_used()
+
+    readers = [threading.Thread(target=reader, args=(out,)) for out in seen]
+    recorders = [threading.Thread(target=recorder, args=(r,)) for r in range(n_ranks)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, so reads land mid-record
+    try:
+        for t in readers + recorders:
+            t.start()
+        for t in recorders:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + recorders)
+    total = n_ranks * n_events
+    s = tracer.summary()
+    assert len(tracer) == total
+    assert s.messages_sent == total == s.primitive_counts["MPI_Send"]
+    assert s.bytes_sent == 8 * total
+    assert s.p2p_time == 0.5 * total  # exact: every partial sum is representable
+    for counts in seen:
+        assert counts == sorted(counts) and all(0 <= n <= total for n in counts)
+
+
+def test_trace_event_is_immutable():
+    e = TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0)
+    with pytest.raises(AttributeError):
+        e.rank = 1
+    with pytest.raises(AttributeError):
+        e.t_end = 2.0
+    assert hash(e) == hash(TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0))
+
+
+def test_trace_event_fields_defaults_duration_repr_are_pinned():
+    assert TraceEvent._fields == (
+        "rank", "category", "primitive", "nbytes", "t_start", "t_end",
+        "peer", "cid", "msg_id",
+    )
+    assert TraceEvent._field_defaults == {"peer": -1, "cid": -1, "msg_id": -1}
+    e = TraceEvent(3, "p2p", "MPI_Send", 64, 0.25, 1.0, peer=1, cid=0, msg_id=7)
+    assert e.duration == 0.75
+    assert repr(e) == (
+        "TraceEvent(rank=3, category='p2p', primitive='MPI_Send', nbytes=64, "
+        "t_start=0.25, t_end=1.0, peer=1, cid=0, msg_id=7)"
+    )
+    assert repr(TraceEvent(0, "compute", "compute", 0, 0.0, 2.5)) == (
+        "TraceEvent(rank=0, category='compute', primitive='compute', nbytes=0, "
+        "t_start=0.0, t_end=2.5, peer=-1, cid=-1, msg_id=-1)"
+    )
+
+
+def test_record_takes_no_lock_and_does_no_summary_work(monkeypatch):
+    class NoLock:
+        def __enter__(self):
+            raise AssertionError("record took the tracer lock")
+
+    def no_add(self, event):
+        raise AssertionError("record folded into the summary")
+
+    tracer = Tracer()
+    tracer._lock = NoLock()
+    monkeypatch.setattr(TraceSummary, "_add", no_add)
+    tracer.record(0, "p2p", "MPI_Send", 8, 0.0, 1.0, peer=1, cid=0, msg_id=0)
+    tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
+    assert len(tracer) == 2
+    assert tracer.events[0] == TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0)

@@ -10,7 +10,7 @@ runtime's wakeup accounting:
 * ``fanin`` (:func:`~repro.harness.stress.fanin_storm`) —
   matching-bound all-to-one flood: a deep multi-source unexpected queue
   drained by exact-source receives, the workload the ``(cid, source,
-  tag)`` mailbox index and targeted wakeups exist for.
+  tag)`` mailbox index exists for.
 
 Each pattern runs twice: with ``trace=False`` (the runtime alone) and,
 as ``<pattern>_traced``, with ``trace=True`` — ``smpi.launch``'s default,
@@ -29,9 +29,9 @@ compares the *calibrated score* — msgs/s divided by the host's measured
 single-thread Python throughput (``calib_kops``) — with a generous
 threshold; see docs/performance.md for how to read the file.
 
-Every run also asserts ``smpi.wakeups.missed == 0``: a benchmark that
-only finishes thanks to the 10 s fallback poll is a lost-wakeup bug,
-not a slow machine.
+Every run also asserts ``smpi.wakeups.missed == 0``: a nonzero count
+means the scheduler's stall pass found a blocked rank that an event
+should already have made ready, a lost-wakeup bug.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def run_cell(workload, nprocs: int, messages: int, reps: int, trace: bool) -> di
             for key in ("targeted", "broadcast", "missed")
         }
         assert wakeups["missed"] == 0, (
-            f"{wakeups['missed']} lost wakeups rode out the fallback poll"
+            f"{wakeups['missed']} blocked ranks were found only by the stall pass"
         )
     return {
         "ranks": nprocs,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import _RankSelfCrash
 from repro.faults.plan import CrashFault, FaultPlan
@@ -74,11 +74,14 @@ class FaultInjector:
         nprocs: int,
         tracer: "Tracer",
         metrics: "MetricsRegistry",
+        next_seq: Callable[[], int],
     ):
         self.plan = plan
         self.nprocs = nprocs
         self.tracer = tracer
         self.metrics = metrics
+        # the world's message-id source, for duplicate envelopes
+        self.next_seq = next_seq
         # (fault key, src) -> how many messages matched the selector so far
         self._matched: dict[tuple[str, int], int] = {}
         # (fault key, src) -> how many times the fault actually fired
@@ -198,6 +201,7 @@ class FaultInjector:
                 rendezvous=False,
                 arrival_time=env.send_time + env.net_time,
                 comm_cid=env.comm_cid,
+                seq=self.next_seq(),
             )
             mark("fault_duplicate", dup.seq)
             duplicates.append(dup)

@@ -32,11 +32,12 @@ OUTCOMES = ("survived", "degraded", "aborted")
 def canonical_trace(events: list[Any], nprocs: int) -> bytes:
     """Serialise trace events into a scheduling-independent byte string.
 
-    The global event list interleaves rank threads nondeterministically
-    and ``msg_id`` values come from a process-global counter, but each
-    rank's *subsequence* is its deterministic program order.  So:
+    Each rank's *subsequence* of the event list is its program order, so:
     group by rank (one pass), and remap message ids to their order of
-    first appearance in that grouped stream.
+    first appearance in that grouped stream.  The world's scheduler
+    already makes the interleaving and the ids deterministic; the remap
+    keeps digests recorded when ranks ran free (and ids were
+    process-global) valid.
     """
     by_rank: dict[int, list[Any]] = defaultdict(list)
     for e in events:

@@ -251,13 +251,13 @@ def _canonical(obj: Any) -> Any:
 
 @contextmanager
 def capture(san: Sanitizer) -> Iterator[Sanitizer]:
-    """Install ``san`` as the ambient sanitizer for worlds created in
-    this block (unless a ``sanitizer=`` argument overrides it)."""
+    """Install ``san`` as the ambient sanitizer for worlds this thread
+    creates in this block (unless a ``sanitizer=`` argument overrides
+    it)."""
     from repro.smpi import runtime as _runtime
 
-    prev = _runtime._active_sanitizer
-    _runtime._active_sanitizer = san
+    token = _runtime._active_sanitizer.set(san)
     try:
         yield san
     finally:
-        _runtime._active_sanitizer = prev
+        _runtime._active_sanitizer.reset(token)

@@ -218,7 +218,7 @@ class Comm:
         Under ``ERRORS_RETURN`` the probe returns the exception for the
         blocked rank to raise; under ``ERRORS_ARE_FATAL`` it aborts the
         world in place (the probe runs with the lock held) and returns
-        ``None`` so the next loop iteration raises ``CommAbortError``.
+        ``None``; :meth:`World.block` then raises ``CommAbortError``.
         ``ANY_SOURCE`` waits never fail this way — another rank may still
         send; lost-message hangs are covered by ``timeout=`` deadlines
         and the deadlock detector.
@@ -251,10 +251,13 @@ class Comm:
             return None
 
         def failure() -> Optional[BaseException]:
+            crashed = self.world.crashed
+            if not crashed:
+                return None
             missing = [
                 self._inverse[wr]
                 for wr in self.group
-                if wr in self.world.crashed and self._inverse[wr] not in ctx.contribs
+                if wr in crashed and self._inverse[wr] not in ctx.contribs
             ]
             if not missing:
                 return None
@@ -350,6 +353,7 @@ class Comm:
             rendezvous=rendezvous,
             arrival_time=None if rendezvous else ts + net_time,
             comm_cid=self.cid,
+            seq=self.world.next_seq(),
         )
         dropped = False
         duplicates: list[Envelope] = []
@@ -448,7 +452,7 @@ class Comm:
             if env is None:
                 pr = PostedRecv(
                     dest=me, source=world_src, tag=tag, comm_cid=self.cid,
-                    post_time=t_post, hold=hold,
+                    post_time=t_post, hold=hold, seq=self.world.next_seq(),
                 )
                 queues.post(pr)
                 if hold:
@@ -500,7 +504,7 @@ class Comm:
                 env.completion_time = max(env.send_time, now) + env.net_time
                 env.arrival_time = env.completion_time
                 # Only the rendezvous sender waits on this handshake.
-                self.world.notify_rank_locked(env.source)
+                self.world.ready_rank_locked(env.source)
             return max(now, env.completion_time)
         return max(now, env.arrival_time if env.arrival_time is not None else now)
 
@@ -535,12 +539,12 @@ class Comm:
                         max(env.send_time, self._clock.now) + env.net_time
                     )
                     env.arrival_time = env.completion_time
-                    self.world.notify_rank_locked(env.source)
+                    self.world.ready_rank_locked(env.source)
                 req._env = env  # type: ignore[attr-defined]
             else:
                 pr = PostedRecv(
                     dest=me, source=world_src, tag=tag, comm_cid=self.cid,
-                    post_time=self._clock.now,
+                    post_time=self._clock.now, seq=self.world.next_seq(),
                 )
                 queues.post(pr)
                 req._pr = pr  # type: ignore[attr-defined]
@@ -640,25 +644,20 @@ class Comm:
         req._finish(payload, status)
 
     def _test_request(self, req: Request) -> None:
-        if req.kind == "isend":
-            env = getattr(req, "_env", None)
-            if env is None:  # eager: completes on first test
-                self._wait_request(req)
-                return
-            with self.world.lock:
-                ready = env.completion_time is not None
-            if ready:
-                self._wait_request(req)
-            return
+        """Complete ``req`` if it can complete now; otherwise yield the
+        baton, so a test loop lets the rank it waits for run."""
         env = getattr(req, "_env", None)
-        if env is None:
-            pr = req._pr  # type: ignore[attr-defined]
-            with self.world.lock:
-                env = pr.envelope
-            if env is None:
-                return
-            req._env = env  # type: ignore[attr-defined]
-        self._wait_request(req)
+        with self.world.lock:
+            if req.kind == "isend":  # eager (no envelope) or rendezvous
+                ready = env is None or env.completion_time is not None
+            else:
+                if env is None:
+                    env = req._env = req._pr.envelope  # type: ignore[attr-defined]
+                ready = env is not None
+            if not ready:
+                self.world.yield_locked(self._world_rank)
+        if ready:
+            self._wait_request(req)
 
     # -- probe ---------------------------------------------------------------
 
@@ -707,7 +706,10 @@ class Comm:
         tag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> bool:
-        """Non-blocking probe; True when a matching message is queued."""
+        """Non-blocking probe; True when a matching message is queued.
+
+        A probe that finds nothing yields the baton, so a polling loop
+        lets the sender run."""
         world_src = self._check_source(source)
         tag = self._check_recv_tag(tag)
         self._check_revoked("MPI_Iprobe")
@@ -715,6 +717,8 @@ class Comm:
         with self.world.lock:
             self.world.check_abort_locked()
             env = self.world.queues[me].peek_unexpected(world_src, tag, self.cid)
+            if env is None:
+                self.world.yield_locked(me)
         self.world.tracer.record(
             me, "p2p", "MPI_Iprobe", 0, self._clock.now, self._clock.now
         )
@@ -785,15 +789,14 @@ class Comm:
                 index, ctx = table.context_for(self._rank, kind)
                 ctx.join(self._rank, contribution, t0, root, op, net)
             except SMPIError as exc:
-                # Route through the abort funnel: it sets exc + origin
-                # (first error wins) *then* broadcasts, so a concurrently
-                # woken rank never sees a half-recorded abort.
+                # Route through the abort funnel: first error wins, and
+                # every blocked rank is made ready to observe it.
                 self.world.abort_locked(exc, f"rank {self._rank}")
                 raise
             if ctx.done:
                 # Last rank in: the collective finished for the whole
-                # group — wake exactly its members.
-                self.world.notify_ranks_locked(self.group)
+                # group — make exactly its members ready.
+                self.world.ready_ranks_locked(self.group)
             self.world.block(
                 me,
                 take=lambda: True if ctx.done else None,

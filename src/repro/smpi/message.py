@@ -35,14 +35,11 @@ All queue state is guarded by the world lock (see
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.smpi.datatypes import ANY_SOURCE, ANY_TAG
-
-_seq_counter = itertools.count()
 
 #: compact the arrival-order list once this many tombstones accumulate
 #: *and* they are the majority — amortized O(1) per consumed envelope.
@@ -57,7 +54,8 @@ class Envelope:
     ``arrival_time`` is when the payload is fully available at the
     receiver (eager protocol) or ``None`` until the rendezvous handshake
     completes.  ``completion_time`` is filled at match time for
-    rendezvous sends so the blocked sender knows when to resume.
+    rendezvous sends so the blocked sender knows when to resume.  ``seq``
+    is the message id, drawn from the world's ``next_seq``.
     """
 
     source: int
@@ -71,7 +69,7 @@ class Envelope:
     arrival_time: Optional[float] = None
     completion_time: Optional[float] = None
     comm_cid: int = 0
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = field(kw_only=True)
     #: tombstone flag: True once consumed from the unexpected queue (the
     #: arrival-order list keeps the entry until the next lazy compaction).
     taken: bool = field(default=False, compare=False, repr=False)
@@ -89,7 +87,11 @@ class Envelope:
 
 @dataclass
 class PostedRecv:
-    """A posted (possibly non-blocking) receive awaiting a match."""
+    """A posted (possibly non-blocking) receive awaiting a match.
+
+    ``seq`` comes from the world's ``next_seq``; it orders one rank's
+    posts (the exact-vs-wildcard tie-break in :class:`MatchingQueues`).
+    """
 
     dest: int
     source: int
@@ -101,7 +103,7 @@ class PostedRecv:
     #: the deadlock checker resolves it at a global stall, where queue
     #: contents are deterministic (the sanitizer's race-replay substrate).
     hold: bool = False
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = field(kw_only=True)
 
     @property
     def matched(self) -> bool:

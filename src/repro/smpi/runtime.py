@@ -1,23 +1,29 @@
 """The simulated-MPI world: rank threads, virtual time, matching, deadlock.
 
 Each rank runs as an OS thread executing ordinary blocking code against a
-:class:`~repro.smpi.communicator.Comm`.  All shared state (matching
-queues, collective contexts, the blocked-rank set) is guarded by one
-world lock, but each rank parks on its **own** condition variable (all
-sharing that lock), so an event wakes only the ranks whose wait it could
-have satisfied: a message delivery notifies the destination, a
-rendezvous/handshake completion notifies the sender, a finished
-collective notifies the communicator's group, and only world-scoped
-events (abort, crash, rank exit, revoke, deadlock) broadcast.  This
-eliminates the O(ranks²) thundering herd of the historical single
-``notify_all`` condition.
+:class:`~repro.smpi.communicator.Comm`, but only one rank runs at a time:
+the one holding the world's baton.  Inside an smpi call that blocks (or
+polls without success), and when its main function returns, a rank hands
+the baton to the first rank of the *ready set*, which starts as every
+rank in rank order.  Events add the ranks whose wait they may resolve: a
+delivery adds the destination, a rendezvous match the sender, a finished
+collective or shrink/agree the group, and world-scoped events (abort,
+crash, rank exit, revoke, deadlock) every blocked rank in rank order.
+The schedule, and with it every trace, message id and wildcard match,
+depends only on the program.
 
-**Invariant — mutate, then notify, under the lock**: every wakeup goes
-through the ``notify_*_locked`` funnels below, which assert the world
-lock is held; callers must finish *all* shared-state mutation for an
-event before notifying, and must not release the lock in between.  A
-woken rank re-checks its predicate under the same lock, so it can never
-observe a half-updated ``World`` snapshot.
+**Rule for rank code**: it may block only in smpi calls.  A rank waiting
+on anything else (a lock or a queue another rank fills) waits forever,
+because no other rank runs until it hands the baton on.  A lock whose
+holder makes no smpi call while holding it, such as
+``repro.modules.module4_range._INDEX_CACHE_LOCK``, is safe.
+
+Deadlock detection: an empty ready set means every live rank is blocked.
+Unless a wait was missed, a sanitizer hold resolves or a deadline
+expires (see :meth:`World._stall_locked`), the world aborts all ranks
+with :class:`~repro.errors.DeadlockError` describing each rank's
+blocking call — turning the classic hung ring of blocking sends
+(Module 1) into an immediate, explainable failure.
 
 Virtual time: each rank owns a :class:`~repro.smpi.clock.VirtualClock`.
 Point-to-point transfers cost ``alpha + n*beta`` with intra- vs
@@ -26,16 +32,12 @@ charged through the roofline model with the rank's *share* of its node's
 memory bandwidth (see :mod:`repro.cluster.contention`).  Because the
 clock is virtual, experiments are deterministic and a "cluster run" takes
 milliseconds of real time.
-
-Deadlock detection: a rank that blocks registers a ``can_proceed``
-probe.  Whenever every live rank is blocked and no probe is satisfiable,
-the world aborts all ranks with :class:`~repro.errors.DeadlockError`
-describing each rank's blocking call — turning the classic hung ring of
-blocking sends (Module 1) into an immediate, explainable failure.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 import threading
 from collections import defaultdict
@@ -67,19 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Ambient sanitizer installed by :func:`repro.sanitize.capture` — lets
 #: the sanitizer intercept worlds created deep inside workload runners
 #: (e.g. the pitfall demos call :func:`run` themselves) without changing
-#: their signatures.  An explicit ``sanitizer=`` argument wins.
-_active_sanitizer: Optional["Sanitizer"] = None
-
-#: hang guard — re-check loop period (real seconds); never hit in practice.
-#: Every state change that can unblock or kill a waiter (message delivery,
-#: abort, crash, timeout decision, rank exit) must notify the affected
-#: rank(s) so that waiters never actually ride this out —
-#: tests/smpi/test_abort_promptness.py asserts propagation is prompt and
-#: not busy-waiting.  This fallback is **instrumented, not silent**: a
-#: rank that rides it out and finds its wait resolvable afterwards is a
-#: lost-wakeup bug, counted in the ``smpi.wakeups.missed`` metric and
-#: failed on by the golden stress tests.
-_POLL_TIMEOUT = 10.0
+#: their signatures.  A :class:`World` reads it in the thread that
+#: constructs it, so a capture in one thread never reaches a world built
+#: by another.  An explicit ``sanitizer=`` argument wins.
+_active_sanitizer: contextvars.ContextVar[Optional["Sanitizer"]] = contextvars.ContextVar(
+    "repro_active_sanitizer", default=None
+)
 
 
 @dataclass
@@ -87,9 +82,9 @@ class _BlockInfo:
     """Bookkeeping for one blocked rank.
 
     ``deadline`` is an optional virtual-time timeout: a rank blocked with
-    a deadline never deadlocks — when the world would otherwise declare
-    deadlock, the earliest-deadline waiter is told to time out instead
-    (``timed_out`` flips and the waiter raises
+    a deadline never deadlocks — when the world stalls, the
+    earliest-deadline waiter is told to time out instead (``timed_out``
+    flips, the waiter is made ready and raises
     :class:`~repro.errors.SmpiTimeoutError`).
     """
 
@@ -146,16 +141,24 @@ class World:
         self.metrics = MetricsRegistry()
 
         self.lock = threading.Lock()
-        # One condition per rank, all sharing the world lock: waiters park
-        # on their own condition so events can wake exactly the ranks they
-        # concern (see the module docstring for the notify invariant).
-        self._rank_conds = [threading.Condition(self.lock) for _ in range(nprocs)]
-        #: wakeup accounting (plain ints mutated under the lock; published
-        #: as ``smpi.wakeups.*`` counters at the end of :func:`launch`).
-        #: ``missed`` must stay 0 — a nonzero count means a waiter was
-        #: rescued by the fallback poll, i.e. a targeted notify went
-        #: missing (the lost-wakeup bug class this design removes).
+        # The baton: one binary semaphore per rank, all taken here.  A
+        # rank runs only between acquiring its own and releasing the next
+        # runner's.
+        self._batons = [threading.Lock() for _ in range(nprocs)]
+        for baton in self._batons:
+            baton.acquire()
+        #: ranks waiting for the baton, in the order they will get it.
+        self.ready: dict[int, None] = dict.fromkeys(range(nprocs))
+        #: scheduler accounting (plain ints mutated under the lock;
+        #: published as ``smpi.wakeups.*`` counters at the end of
+        #: :func:`launch`): ``targeted`` counts the ranks named by a
+        #: delivery, match, finished collective, hold or timeout, blocked
+        #: or not; ``broadcast`` counts world-scoped events; ``missed``
+        #: counts blocked ranks the stall pass found already resolvable.
+        #: ``missed`` must stay 0: nonzero means an event forgot a waiter.
         self.wakeup_stats = {"targeted": 0, "broadcast": 0, "missed": 0}
+        #: message ids (``Envelope.seq``/``PostedRecv.seq``) of this world.
+        self.next_seq = itertools.count().__next__
         #: per-rank message tallies, ``(peer, primitive) -> [messages,
         #: bytes]`` (primitive ``None`` for receives).  Each is written
         #: only by its own rank's thread, so it takes no lock.
@@ -170,7 +173,7 @@ class World:
         # The sanitizer hook object (repro.sanitize).  None on the hot
         # path: every hook site gates on ``world.sanitizer is not None``
         # so a plain run pays a single attribute load, nothing more.
-        self.sanitizer = sanitizer if sanitizer is not None else _active_sanitizer
+        self.sanitizer = sanitizer if sanitizer is not None else _active_sanitizer.get()
         #: rank -> held wildcard PostedRecv awaiting stall-time resolution
         self.wildcard_holds: dict[int, PostedRecv] = {}
         self.faults = None
@@ -178,7 +181,9 @@ class World:
             # Local import: repro.faults depends on repro.smpi for types.
             from repro.faults.injector import FaultInjector
 
-            self.faults = FaultInjector(faults, nprocs, self.tracer, self.metrics)
+            self.faults = FaultInjector(
+                faults, nprocs, self.tracer, self.metrics, self.next_seq
+            )
 
         self._coll_tables: dict[int, CollectiveTable] = {}
         self._comm_groups: dict[int, tuple[int, ...]] = {}
@@ -254,37 +259,34 @@ class World:
     def is_rendezvous(self, nbytes: int) -> bool:
         return nbytes > self.cluster.network.eager_threshold
 
-    # -- wakeup funnels ----------------------------------------------------
+    # -- the ready set -----------------------------------------------------
     #
-    # Every notify in the runtime goes through these three methods.  The
-    # contract (asserted, and documented in the module docstring): the
-    # caller holds the world lock and has *finished mutating* the shared
-    # state that makes the woken rank's predicate true — notify is always
-    # the last step of an event, before the lock is released.
+    # Only blocked ranks are added: a running rank re-checks its wait
+    # before it blocks, and one that has exited must never run again.
 
-    def notify_rank_locked(self, rank: int) -> None:
-        """Wake one rank's condition (no-op cost if it is not waiting)."""
-        assert self.lock.locked(), "notify requires the world lock (mutate-then-notify)"
+    def ready_rank_locked(self, rank: int) -> None:
+        """Make one rank ready if it is blocked."""
         self.wakeup_stats["targeted"] += 1
-        self._rank_conds[rank].notify_all()
+        if rank in self.blocked:
+            self.ready[rank] = None
 
-    def notify_ranks_locked(self, ranks: Sequence[int]) -> None:
-        """Wake a set of world ranks (e.g. a communicator group)."""
-        assert self.lock.locked(), "notify requires the world lock (mutate-then-notify)"
+    def ready_ranks_locked(self, ranks: Sequence[int]) -> None:
+        """Make the blocked ranks of a set (e.g. a communicator group) ready."""
         self.wakeup_stats["targeted"] += len(ranks)
-        conds = self._rank_conds
+        blocked = self.blocked
         for rank in ranks:
-            conds[rank].notify_all()
+            if rank in blocked:
+                self.ready[rank] = None
 
-    def notify_all_locked(self) -> None:
-        """Broadcast — world-scoped events only (abort, crash, rank exit,
-        revoke, deadlock), where any rank's predicate may have changed."""
-        assert self.lock.locked(), "notify requires the world lock (mutate-then-notify)"
+    def ready_blocked_locked(self) -> None:
+        """World-scoped events only (abort, crash, rank exit, revoke,
+        deadlock), where any rank's wait may have changed: every blocked
+        rank becomes ready, in rank order."""
         self.wakeup_stats["broadcast"] += 1
-        for cond in self._rank_conds:
-            cond.notify_all()
+        for rank in sorted(self.blocked):
+            self.ready[rank] = None
 
-    # -- blocking / deadlock ----------------------------------------------
+    # -- blocking / scheduling ---------------------------------------------
 
     def check_abort_locked(self) -> None:
         if self.abort_exc is not None:
@@ -308,11 +310,12 @@ class World:
 
         ``take`` both checks and consumes (e.g. removes a matched
         envelope); ``can_proceed`` is a side-effect-free satisfiability
-        probe used by the deadlock detector.  Caller must hold the world
-        lock.
+        probe used by the stall pass.  Caller must hold the world lock
+        and be the running rank; the rank gives up the baton while its
+        wait cannot resolve and re-checks each time it gets it back.
 
-        ``failure`` (optional) is probed on every wake-up *after* ``take``
-        — so an already-available result still wins — and any exception it
+        ``failure`` (optional) is probed *after* ``take`` — so an
+        already-available result still wins — and any exception it
         returns is raised in the blocked rank (the crashed-peer path).
         ``deadline`` (optional, virtual seconds) registers a timeout: if
         the world stalls and this waiter holds the earliest deadline, the
@@ -321,26 +324,12 @@ class World:
         ``cid`` (optional) ties the block to a communicator: if that
         communicator is revoked, the block raises
         :class:`~repro.errors.SmpiRevokedError`.  The check runs *after*
-        ``take`` and ``failure`` so it is deterministic: an operation
-        whose completion (or whose peer's crash) was already established
-        in virtual time resolves the same way no matter how the
-        revocation races with this rank's wake-up — revocation only
-        poisons waits that cannot otherwise resolve.
+        ``take`` and ``failure``, so an operation whose completion (or
+        whose peer's crash) was already established in virtual time
+        resolves that way — revocation only poisons waits that cannot
+        otherwise resolve.
         """
         info = _BlockInfo(description, can_proceed, deadline, failure, cid)
-        cond = self._rank_conds[rank]
-
-        def _resolvable() -> bool:
-            # Everything the loop head acts on: a true predicate here
-            # means another wait iteration would not park again.
-            return (
-                info.timed_out
-                or self.abort_exc is not None
-                or can_proceed()
-                or (cid is not None and cid in self.revoked_cids)
-                or (failure is not None and failure() is not None)
-            )
-
         while True:
             self.check_abort_locked()
             result = take()
@@ -350,6 +339,8 @@ class World:
                 exc = failure()
                 if exc is not None:
                     raise exc
+                # An ERRORS_ARE_FATAL probe aborts the world in place.
+                self.check_abort_locked()
             if cid is not None and cid in self.revoked_cids:
                 raise SmpiRevokedError(
                     f"{description}: communicator {cid} has been revoked"
@@ -360,86 +351,88 @@ class World:
                 )
             self.blocked[rank] = info
             try:
-                self._deadlock_check_locked()
-                # The check may have timed *us* out, aborted the world,
-                # satisfied our own wait (a held wildcard receive resolves
-                # inside our entry check), or fired our own failure probe
-                # — all of which notify our condition *before* we park, so
-                # the notify is lost.  Re-loop instead of waiting on it.
-                if _resolvable():
-                    continue
-                if not cond.wait(timeout=_POLL_TIMEOUT):
-                    # The fallback poll fired.  If the wait is resolvable
-                    # *now*, the notify that should have woken us never
-                    # came: a lost wakeup.  The poll used to mask these
-                    # silently — now they are counted and tests fail on
-                    # any nonzero ``smpi.wakeups.missed``.
-                    if _resolvable():
-                        self.wakeup_stats["missed"] += 1
+                self._switch_locked(rank)
             finally:
                 self.blocked.pop(rank, None)
 
-    def _deadlock_check_locked(self) -> None:
-        if self.abort_exc is not None:
+    def yield_locked(self, rank: int) -> None:
+        """A failed poll (``iprobe``, ``Request.test``): ``rank`` goes to
+        the back of the ready set, so every other ready rank runs before
+        it polls again.  Caller holds the world lock."""
+        self.ready[rank] = None
+        self._switch_locked(rank)
+
+    def _switch_locked(self, rank: int) -> None:
+        """Hand the baton from ``rank`` to the next ready rank and wait
+        until ``rank`` is chosen again (at once if it is next itself)."""
+        nxt = self._next_locked()
+        if nxt == rank:
             return
-        if not self.live or len(self.blocked) < len(self.live):
+        self.lock.release()
+        self._batons[nxt].release()
+        self._batons[rank].acquire()
+        self.lock.acquire()
+
+    def pass_baton(self) -> None:
+        """Hand the baton to the next ready rank; the caller stops running
+        (:func:`launch` starting the world, or a rank exiting)."""
+        with self.lock:
+            nxt = self._next_locked() if self.live else None
+        if nxt is not None:
+            self._batons[nxt].release()
+
+    def _next_locked(self) -> int:
+        """Pop the next rank to run, running the stall pass while none is
+        ready."""
+        while not self.ready:
+            self._stall_locked()
+        rank = next(iter(self.ready))
+        del self.ready[rank]
+        return rank
+
+    def _resolvable_locked(self, info: _BlockInfo) -> bool:
+        """Would the blocked rank's wait loop return or raise right now?"""
+        return (
+            info.timed_out
+            or self.abort_exc is not None
+            or info.can_proceed()
+            or (info.cid is not None and info.cid in self.revoked_cids)
+            or (info.failure is not None and info.failure() is not None)
+        )
+
+    def _stall_locked(self) -> None:
+        """No rank is ready, so every live rank is blocked: make one move
+        that readies a rank.  In order: ready the blocked ranks whose wait
+        is already resolvable (missed marks, counted in ``missed``),
+        resolve one sanitizer hold, time out the earliest deadline, or
+        declare deadlock."""
+        missed = [
+            rank for rank, info in self.blocked.items()
+            if self._resolvable_locked(info)
+        ]
+        if missed:
+            self.wakeup_stats["missed"] += len(missed)
+            for rank in sorted(missed):
+                self.ready[rank] = None
             return
-        if any(info.can_proceed() for info in self.blocked.values()):
-            return
-        # True quiescence: every live rank is blocked and none can make
-        # progress.  Sanitized wildcard receives are *held* — they never
-        # match eagerly — and are resolved only here, where the queues
-        # hold the maximal progress closure of the program: a state that
-        # is unique regardless of OS thread interleaving (deliveries and
-        # completions are monotone), so the candidate set — and with it
-        # the whole sanitized execution — is deterministic.  Resolve one
-        # hold, wake its waiter, and let the world run on.
+        # Sanitized wildcard receives are *held* — they never match
+        # eagerly — and are resolved only here, where the queues hold the
+        # maximal progress closure of the program, so the candidate set —
+        # and with it the whole sanitized execution — is deterministic.
         if self.wildcard_holds and self._resolve_wildcard_holds_locked():
             return
-        # The world has stalled.  Escape hatches fire before anyone
-        # declares deadlock, in order of definitiveness:
-        # 1) a waiter whose failure probe fires (e.g. its peer crashed)
-        #    is woken to raise rather than hang.  Probing may itself
-        #    abort the world (the ERRORS_ARE_FATAL path, which broadcasts
-        #    through ``abort_locked``) — that is the intended semantic,
-        #    and the early return below covers it.
-        for rank, info in self.blocked.items():
-            if info.failure is not None and info.failure() is not None:
-                self.notify_rank_locked(rank)
-                return
-        if self.abort_exc is not None:
-            return  # abort_locked already broadcast
-        # 2) waiters with a deadline time out (in deadline order, one at
-        #    a time — timing out may unstall the rest).
+        # Waiters with a deadline time out in deadline order, one at a
+        # time: timing out may unstall the rest.
         pending = [
             (info.deadline, rank)
             for rank, info in self.blocked.items()
-            if info.deadline is not None and not info.timed_out
+            if info.deadline is not None
         ]
         if pending:
             _, rank = min(pending)
             self.blocked[rank].timed_out = True
-            self.notify_rank_locked(rank)
+            self.ready_rank_locked(rank)
             return
-        # 3) a timeout already handed out but not yet processed (its
-        #    waiter holds no lock between being marked and waking up) is
-        #    still an escape route, not a deadlock.
-        timed = [rank for rank, info in self.blocked.items() if info.timed_out]
-        if timed:
-            self.notify_ranks_locked(timed)
-            return
-        # 4) a waiter blocked on a revoked communicator will raise
-        #    SmpiRevokedError on its next wake-up — wake it rather than
-        #    declaring the stall a deadlock.
-        if self.revoked_cids:
-            poisoned = [
-                rank
-                for rank, info in self.blocked.items()
-                if info.cid is not None and info.cid in self.revoked_cids
-            ]
-            if poisoned:
-                self.notify_ranks_locked(poisoned)
-                return
         if self.sanitizer is not None:
             self.sanitizer.on_deadlock(
                 {r: i.description for r, i in self.blocked.items()},
@@ -450,12 +443,13 @@ class World:
             f"  rank {rank}: {info.description}"
             for rank, info in sorted(self.blocked.items())
         ]
-        self.abort_exc = DeadlockError(
-            "deadlock detected — every live rank is blocked and no message "
-            "can ever arrive:\n" + "\n".join(lines)
+        self.abort_locked(
+            DeadlockError(
+                "deadlock detected — every live rank is blocked and no message "
+                "can ever arrive:\n" + "\n".join(lines)
+            ),
+            "deadlock",
         )
-        self.abort_origin = "deadlock"
-        self.notify_all_locked()
 
     def _resolve_wildcard_holds_locked(self) -> bool:
         """Match one held wildcard receive at a global stall.
@@ -496,34 +490,32 @@ class World:
                 ).inc()
             # Only the held receive's owner can have been unblocked (the
             # resolver runs at a global stall, so everyone else's
-            # predicate is unchanged).  If that owner is the rank running
-            # this very check, the pre-park re-probe in :meth:`block`
-            # catches the self-notify.
-            self.notify_rank_locked(pr.dest)
+            # predicate is unchanged).
+            self.ready_rank_locked(pr.dest)
             return True
         return False
 
     def abort(self, exc: BaseException, origin: str) -> None:
-        """Abort the world (first error wins); wakes every blocked rank."""
+        """Abort the world (first error wins); readies every blocked rank."""
         with self.lock:
             self.abort_locked(exc, origin)
 
     def abort_locked(self, exc: BaseException, origin: str) -> None:
         """Abort with the world lock already held.
 
-        The single funnel for every abort path: it always notifies, so a
-        rank parked in ``cond.wait`` observes the abort immediately
-        rather than riding out the poll timeout.
+        The single funnel for every abort path: every blocked rank is
+        made ready, so each observes the abort at its next turn.
         """
         if self.abort_exc is None:
             self.abort_exc = exc
             self.abort_origin = origin
-        self.notify_all_locked()
+        self.ready_blocked_locked()
 
     def crash_rank(self, rank: int, reason: str) -> None:
         """Kill one rank (fault injection): it leaves the live set, its
         crash is recorded as a ``fault_crash`` trace event, and every
-        blocked rank is woken so crashed-peer probes fire promptly."""
+        blocked rank is made ready so crashed-peer probes and ft
+        rendezvous readiness are re-checked."""
         with self.lock:
             if rank in self.crashed:
                 return
@@ -532,24 +524,18 @@ class World:
             now = self.clocks[rank].now
             self.tracer.record(rank, "fault", "fault_crash", 0, now, now)
             self.metrics.counter("smpi.faults.injected", kind="crash").inc()
-            self._deadlock_check_locked()
-            # Broadcast: any rank's crashed-peer failure probe or ft
-            # rendezvous readiness may have changed.  All crash state is
-            # mutated above, before the notify (the documented invariant).
-            self.notify_all_locked()
+            self.ready_blocked_locked()
 
     def finish_rank(self, rank: int) -> None:
-        """Mark a rank's main function as returned.
+        """Mark a rank's main function as returned and pass the baton on.
 
-        Broadcasts (rank exit is world-scoped: shrink/agree readiness and
-        the deadlock census both depend on the live set) — and only after
-        the live-set mutation and detector pass, so a woken rank never
-        sees a half-updated world.
+        Rank exit is world-scoped (shrink/agree readiness depends on the
+        live set), so every blocked rank is made ready.
         """
         with self.lock:
             self.live.discard(rank)
-            self._deadlock_check_locked()
-            self.notify_all_locked()
+            self.ready_blocked_locked()
+        self.pass_baton()
 
     # -- ULFM-style recovery ----------------------------------------------
 
@@ -566,7 +552,7 @@ class World:
             self.revoked_cids.add(cid)
             for q in self.queues:
                 q.purge_cid(cid)
-            self.notify_all_locked()
+            self.ready_blocked_locked()
             return True
 
     def ft_table(self, cid: int) -> FtTable:
@@ -589,7 +575,7 @@ class World:
             ).alpha
             ctx.finalize(alpha, self._register_group_locked)
             # Only the rendezvous participants can have been unblocked.
-            self.notify_ranks_locked(ctx.group)
+            self.ready_ranks_locked(ctx.group)
         return True if ctx.done else None
 
     # -- point-to-point internals -----------------------------------------
@@ -607,8 +593,8 @@ class World:
             env.completion_time = max(env.send_time, pr.post_time) + env.net_time
             env.arrival_time = env.completion_time
         # Only the destination's wait (recv/irecv/probe) can have become
-        # satisfiable; the queue mutation above precedes the notify.
-        self.notify_rank_locked(env.dest)
+        # satisfiable.
+        self.ready_rank_locked(env.dest)
         return pr
 
     def publish_runtime_counters(self) -> None:
@@ -721,6 +707,7 @@ def launch(
     results: list[Any] = [None] * nprocs
 
     def _main(rank: int) -> None:
+        world._batons[rank].acquire()
         try:
             results[rank] = fn(comms[rank], *args, **kwargs)
         except CommAbortError:
@@ -738,6 +725,7 @@ def launch(
     ]
     for t in threads:
         t.start()
+    world.pass_baton()
     for t in threads:
         t.join()
     world.publish_runtime_counters()

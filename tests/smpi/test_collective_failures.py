@@ -3,7 +3,7 @@
 Regression net for the ULFM failure probes: each collective in Table II
 is run on 4 ranks with rank 3 crashed at t=0.  Under ``ERRORS_RETURN``
 every survivor gets :class:`~repro.errors.SmpiProcFailedError` promptly
-(no deadlock-detector rescue, no 10 s poll stall); under
+(no deadlock-detector rescue, no wall-clock stall); under
 ``ERRORS_ARE_FATAL`` the world aborts.  If a new collective is added to
 ``KINDS`` without a failure probe, the parametrization below catches it.
 """
@@ -109,9 +109,9 @@ def test_errors_are_fatal_aborts_the_world():
 
 
 def test_failure_is_prompt_not_a_timeout_rescue():
-    """The probe fires via the failure hook, not the 10 s poll timeout:
-    the whole faulted run must finish in well under a second of wall
-    time.  (A regression to polling would take >= _POLL_TIMEOUT.)"""
+    """The probe fires via the failure hook as soon as the crash makes
+    the waiters ready: the whole faulted run must finish in well under a
+    second of wall time."""
     import time
 
     def fn(comm):

@@ -1,6 +1,6 @@
 """Golden digest-identity stress test for the runtime fast paths.
 
-The indexed mailbox and targeted-wakeup scheduler are perf-only
+The indexed mailbox and the single-runner scheduler are perf-only
 changes: virtual-time behaviour must be byte-identical to the
 seed-commit runtime.  This test pins that with 20 seeds of a 64-rank
 random p2p/collective/wildcard mix (with and without a fault plan),
@@ -13,9 +13,9 @@ Regenerate (only ever against a known-good runtime!) with::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/smpi/test_fastpath_golden.py -q
 
-The runs also double as the lost-wakeup gate: a rank that resolves its
-wait only via the fallback poll means a targeted notify went missing,
-and ``smpi.wakeups.missed`` must stay zero.
+The runs also double as the lost-wakeup gate: a blocked rank that only
+the scheduler's stall pass finds resolvable means an event forgot to
+make it ready, and ``smpi.wakeups.missed`` must stay zero.
 """
 
 import json
@@ -61,7 +61,7 @@ def _run_case(seed: int, faulted: bool) -> str:
         trace=False,
     )
     missed = out.metrics.counter("smpi.wakeups.missed").value
-    assert missed == 0, f"{missed} lost wakeups rode out the fallback poll"
+    assert missed == 0, f"{missed} blocked ranks were found only by the stall pass"
     return stress_digest(out)
 
 

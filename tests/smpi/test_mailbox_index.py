@@ -9,6 +9,8 @@ visible to ``first_matching_per_source`` (the hold resolver's candidate
 set).
 """
 
+import itertools
+
 import pytest
 
 from repro import smpi
@@ -16,18 +18,21 @@ from repro.sanitize import Sanitizer, capture
 from repro.smpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.smpi.message import Envelope, MatchingQueues, PostedRecv
 
+_seq = itertools.count()
+
 
 def _env(source=1, dest=0, tag=5, cid=0, payload=None, t=0.0):
     return Envelope(
         source=source, dest=dest, tag=tag,
         payload=payload if payload is not None else f"s{source}t{tag}",
-        nbytes=8, send_time=t, net_time=1e-6, comm_cid=cid,
+        nbytes=8, send_time=t, net_time=1e-6, comm_cid=cid, seq=next(_seq),
     )
 
 
 def _pr(dest=0, source=1, tag=5, cid=0, hold=False, t=0.0):
     return PostedRecv(
-        dest=dest, source=source, tag=tag, comm_cid=cid, post_time=t, hold=hold
+        dest=dest, source=source, tag=tag, comm_cid=cid, post_time=t, hold=hold,
+        seq=next(_seq),
     )
 
 

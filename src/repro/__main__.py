@@ -111,6 +111,112 @@ def _cmd_quiz(_args) -> int:
     return 0
 
 
+def _list_workloads(registry) -> int:
+    """Print one line per workload of ``registry`` (``--list``)."""
+    width = max(len(name) for name in registry)
+    for name, w in sorted(registry.items()):
+        print(
+            f"{name.ljust(width)}  {w.module:>7}  "
+            f"(default nprocs {w.default_nprocs})  {w.description}"
+        )
+    return 0
+
+
+#: the JSON value types a ``-p`` value may take, by the type of the
+#: parameter's default (a parameter defaulting to None takes any value)
+_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _workload_params(args, registry, body=lambda w: w.runner) -> dict:
+    """Require ``WORKLOAD``; return its ``-p KEY=VALUE`` items as keyword
+    arguments.
+
+    Values parse as JSON (numbers, booleans, lists, ...), falling back to
+    bare strings.  When ``registry`` knows the workload (an unknown name
+    is left for the runner to report), each key must be one of the
+    keyword-only parameters of ``body(workload)`` and each value must
+    have the type of that parameter's default.  Bad input raises
+    :class:`~repro.errors.ValidationError`.
+    """
+    import inspect
+    import json
+
+    from repro.errors import ValidationError
+
+    name = args.workload
+    if name is None:
+        raise ValidationError("a WORKLOAD name is required (see --list)")
+    workload = registry.get(name)
+    accepted = {} if workload is None else {
+        p.name: p.default
+        for p in inspect.signature(body(workload)).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    params = {}
+    for item in args.param or []:
+        key, sep, text = item.partition("=")
+        if not sep:
+            raise ValidationError(f"bad -p {item!r}; expected key=value")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text  # bare strings (e.g. -p method=weighted)
+        if workload is not None:
+            if key not in accepted:
+                takes = ", ".join(accepted) or "none"
+                raise ValidationError(
+                    f"workload {name!r} has no parameter {key!r} (takes: {takes})"
+                )
+            types = _PARAM_TYPES.get(type(accepted[key]))
+            if types and type(value) not in types:
+                raise ValidationError(
+                    f"parameter {key!r} of workload {name!r} must be "
+                    f"{type(accepted[key]).__name__}, got {text!r}"
+                )
+        params[key] = value
+    return params
+
+
+def _plan(args):
+    """The ``--plan`` file, or an empty plan, with ``--seed`` applied."""
+    import dataclasses
+
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan.from_toml(args.plan) if args.plan else FaultPlan()
+    if args.seed is not None:
+        plan = dataclasses.replace(plan, seed=args.seed)
+    return plan
+
+
+def _check_expect(args, outcomes) -> None:
+    """Reject an ``--expect`` that names none of ``outcomes``."""
+    from repro.errors import ValidationError
+
+    if args.expect is not None and args.expect not in outcomes:
+        raise ValidationError(f"--expect must be one of {', '.join(outcomes)}")
+
+
+def _finish_drill(args, outcome: str, tracer) -> int:
+    """Print the ``--waits`` timeline and wait states of the run that was
+    classified ``outcome``; give the ``--expect`` verdict as exit code."""
+    from repro.obs import analyze_wait_states, render_wait_states
+    from repro.smpi.timeline import render_timeline
+
+    if args.waits and outcome != "aborted":
+        print()
+        print(render_timeline(tracer, width=args.width))
+        print()
+        print(render_wait_states(analyze_wait_states(tracer)))
+    if args.expect is not None and outcome != args.expect:
+        print(
+            f"\nFAIL: expected outcome {args.expect!r}, got {outcome!r}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def _cmd_trace(args) -> int:
     from repro.obs import (
         analyze_wait_states,
@@ -127,18 +233,8 @@ def _cmd_trace(args) -> int:
     from repro.smpi.timeline import render_timeline
 
     if args.list:
-        width = max(len(name) for name in WORKLOADS)
-        for name, w in sorted(WORKLOADS.items()):
-            print(
-                f"{name.ljust(width)}  {w.module:>7}  "
-                f"(default nprocs {w.default_nprocs})  {w.description}"
-            )
-        return 0
-    if args.workload is None:
-        print("trace: a WORKLOAD name is required (or --list)", file=sys.stderr)
-        return 2
-    workload = WORKLOADS.get(args.workload)
-    params = _parse_params(args.param, args.workload, workload and workload.runner)
+        return _list_workloads(WORKLOADS)
+    params = _workload_params(args, WORKLOADS)
     result = run_workload(args.workload, nprocs=args.nprocs, **params)
     tracer = result.tracer
     print(
@@ -165,161 +261,43 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-#: the JSON value types a ``-p`` value may take, by the type of the
-#: parameter's default (a parameter defaulting to None takes any value)
-_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
-def _parse_params(items, name, fn) -> dict:
-    """``-p KEY=VALUE`` items as keyword arguments for workload ``name``.
-
-    Values parse as JSON (numbers, booleans, lists, ...), falling back to
-    bare strings.  When ``fn``, the workload's runner or body, is known,
-    each key must be one of its keyword-only parameters and each value
-    must have the type of that parameter's default.  Bad input raises
-    :class:`~repro.errors.ValidationError`.
-    """
-    import inspect
-    import json
-
-    from repro.errors import ValidationError
-
-    accepted = {} if fn is None else {
-        p.name: p.default
-        for p in inspect.signature(fn).parameters.values()
-        if p.kind is p.KEYWORD_ONLY
-    }
-    params = {}
-    for item in items or []:
-        key, sep, text = item.partition("=")
-        if not sep:
-            raise ValidationError(f"bad -p {item!r}; expected key=value")
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError:
-            value = text  # bare strings (e.g. -p method=weighted)
-        if fn is not None:
-            if key not in accepted:
-                takes = ", ".join(accepted) or "none"
-                raise ValidationError(
-                    f"workload {name!r} has no parameter {key!r} (takes: {takes})"
-                )
-            types = _PARAM_TYPES.get(type(accepted[key]))
-            if types and type(value) not in types:
-                raise ValidationError(
-                    f"parameter {key!r} of workload {name!r} must be "
-                    f"{type(accepted[key]).__name__}, got {text!r}"
-                )
-        params[key] = value
-    return params
-
-
 def _cmd_faults(args) -> int:
-    from repro.faults import FaultPlan
-    from repro.faults.runner import OUTCOMES, run_under_faults
-    from repro.obs import WORKLOADS, analyze_wait_states, render_wait_states
-    from repro.smpi.timeline import render_timeline
+    from repro.faults.runner import OUTCOMES, fault_report
+    from repro.obs import WORKLOADS, run_workload
 
     if args.list:
-        width = max(len(name) for name in WORKLOADS)
-        for name, w in sorted(WORKLOADS.items()):
-            print(
-                f"{name.ljust(width)}  {w.module:>7}  "
-                f"(default nprocs {w.default_nprocs})  {w.description}"
-            )
-        return 0
-    if args.workload is None:
-        print("faults: a WORKLOAD name is required (or --list)", file=sys.stderr)
-        return 2
-    if args.expect is not None and args.expect not in OUTCOMES:
-        print(
-            f"faults: --expect must be one of {', '.join(OUTCOMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    workload = WORKLOADS.get(args.workload)
-    params = _parse_params(args.param, args.workload, workload and workload.runner)
-    plan = FaultPlan.from_toml(args.plan) if args.plan else FaultPlan()
-    if args.seed is not None:
-        import dataclasses
-
-        plan = dataclasses.replace(plan, seed=args.seed)
+        return _list_workloads(WORKLOADS)
+    _check_expect(args, OUTCOMES)
+    params = _workload_params(args, WORKLOADS)
+    plan = _plan(args)
     print(plan.describe())
     print()
-    report = run_under_faults(args.workload, plan, nprocs=args.nprocs, **params)
+    out = run_workload(
+        args.workload, nprocs=args.nprocs, faults=plan, check=False, **params
+    )
+    report = fault_report(args.workload, out)
     for line in report.lines():
         print(line)
-    if args.waits and report.outcome != "aborted":
-        from repro.obs.workloads import run_workload  # rerun is cheap & deterministic
-
-        out = run_workload(
-            args.workload, nprocs=args.nprocs, faults=plan, check=False, **params
-        )
-        print()
-        print(render_timeline(out.tracer, width=args.width))
-        print()
-        print(render_wait_states(analyze_wait_states(out.tracer)))
-    if args.expect is not None and report.outcome != args.expect:
-        print(
-            f"\nFAIL: expected outcome {args.expect!r}, got {report.outcome!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_drill(args, report.outcome, out.tracer)
 
 
 def _cmd_recover(args) -> int:
-    from repro.faults import FaultPlan
-    from repro.obs import analyze_wait_states, render_wait_states
     from repro.recovery import RECOVERABLE, RECOVERY_OUTCOMES, run_recoverable
-    from repro.smpi.timeline import render_timeline
 
     if args.list:
-        width = max(len(name) for name in RECOVERABLE)
-        for name, w in sorted(RECOVERABLE.items()):
-            print(
-                f"{name.ljust(width)}  {w.module:>7}  "
-                f"(default nprocs {w.default_nprocs})  {w.description}"
-            )
-        return 0
-    if args.workload is None:
-        print("recover: a WORKLOAD name is required (or --list)", file=sys.stderr)
-        return 2
-    if args.expect is not None and args.expect not in RECOVERY_OUTCOMES:
-        print(
-            f"recover: --expect must be one of {', '.join(RECOVERY_OUTCOMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    workload = RECOVERABLE.get(args.workload)
-    params = _parse_params(args.param, args.workload, workload and workload.body())
-    plan = FaultPlan.from_toml(args.plan) if args.plan else FaultPlan()
-    if args.seed is not None:
-        import dataclasses
-
-        plan = dataclasses.replace(plan, seed=args.seed)
+        return _list_workloads(RECOVERABLE)
+    _check_expect(args, RECOVERY_OUTCOMES)
+    params = _workload_params(args, RECOVERABLE, lambda w: w.body())
+    plan = _plan(args)
     print(plan.describe())
     print()
     run = run_recoverable(
         args.workload, plan, nprocs=args.nprocs,
         max_recoveries=args.max_recoveries, **params,
     )
-    report = run.report
-    for line in report.lines():
+    for line in run.report.lines():
         print(line)
-    if args.waits and report.outcome != "aborted":
-        tracer = run.run.tracer  # no rerun needed: the world is attached
-        print()
-        print(render_timeline(tracer, width=args.width))
-        print()
-        print(render_wait_states(analyze_wait_states(tracer)))
-    if args.expect is not None and report.outcome != args.expect:
-        print(
-            f"\nFAIL: expected outcome {args.expect!r}, got {report.outcome!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_drill(args, run.report.outcome, run.run.tracer)
 
 
 def _cmd_sanitize(args) -> int:
@@ -332,12 +310,7 @@ def _cmd_sanitize(args) -> int:
     )
 
     if args.list:
-        width = max(len(name) for name in WORKLOADS)
-        for name, w in sorted(WORKLOADS.items()):
-            print(
-                f"{name.ljust(width)}  {w.module:>7}  "
-                f"(default nprocs {w.default_nprocs})  {w.description}"
-            )
+        _list_workloads(WORKLOADS)
         print()
         width = max(len(p.name) for p in PITFALLS)
         for p in PITFALLS:
@@ -365,27 +338,10 @@ def _cmd_sanitize(args) -> int:
         report = sanitize_pitfall(args.pitfall, replay=not args.no_replay)
         print(report.render())
         return report.exit_code
-    if args.workload is None:
-        print(
-            "sanitize: a WORKLOAD name is required "
-            "(or --list / --pitfall NAME / --pitfalls)",
-            file=sys.stderr,
-        )
-        return 3
-    workload = WORKLOADS.get(args.workload)
-    params = _parse_params(args.param, args.workload, workload and workload.runner)
-    faults = None
-    if args.plan:
-        from repro.faults import FaultPlan
-
-        faults = FaultPlan.from_toml(args.plan)
-        if args.seed is not None:
-            import dataclasses
-
-            faults = dataclasses.replace(faults, seed=args.seed)
+    params = _workload_params(args, WORKLOADS)
     report = sanitize_workload(
         args.workload, nprocs=args.nprocs,
-        replay=not args.no_replay, faults=faults, **params,
+        replay=not args.no_replay, faults=_plan(args), **params,
     )
     print(report.render())
     return report.exit_code
@@ -397,21 +353,60 @@ def main(argv=None) -> int:
         description="Reproduction of the data-intensive PDC teaching modules "
         "(Gowanlock & Gallet, IPDPSW 2021).",
     )
+    # Option sets shared by several subcommands, each declared once.
+    json_opts = argparse.ArgumentParser(add_help=False)
+    json_opts.add_argument(
+        "--json", action="store_true", help="machine-readable check results"
+    )
+    workload_opts = argparse.ArgumentParser(add_help=False)
+    workload_opts.add_argument(
+        "workload", nargs="?", metavar="WORKLOAD",
+        help="workload name (see --list)",
+    )
+    workload_opts.add_argument(
+        "--list", action="store_true", help="list the available workloads"
+    )
+    workload_opts.add_argument(
+        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
+    )
+    workload_opts.add_argument(
+        "-p", "--param", action="append", metavar="KEY=VALUE",
+        help="workload parameter override (repeatable), e.g. -p k=32",
+    )
+    plan_opts = argparse.ArgumentParser(add_help=False)
+    plan_opts.add_argument(
+        "--plan", metavar="FILE", default=None,
+        help="fault plan TOML (omit for an empty plan)",
+    )
+    plan_opts.add_argument(
+        "--seed", type=int, default=None, help="override the plan's seed"
+    )
+    width_opts = argparse.ArgumentParser(add_help=False)
+    width_opts.add_argument(
+        "--width", type=int, default=72, help="timeline width in columns"
+    )
+    drill_opts = argparse.ArgumentParser(add_help=False, parents=[width_opts])
+    drill_opts.add_argument(
+        "--expect", metavar="OUTCOME", default=None,
+        help="exit 1 unless the run's outcome is OUTCOME",
+    )
+    drill_opts.add_argument(
+        "--waits", action="store_true",
+        help="also print the run's timeline and wait states",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the registered experiments").set_defaults(
         fn=_cmd_list
     )
-    run_parser = sub.add_parser("run", help="run specific experiments")
+    run_parser = sub.add_parser(
+        "run", help="run specific experiments", parents=[json_opts]
+    )
     run_parser.add_argument("ids", nargs="+", metavar="ID", help="e.g. T4 F1 E3")
-    run_parser.add_argument(
-        "--json", action="store_true", help="machine-readable check results"
-    )
     run_parser.set_defaults(fn=_cmd_run)
-    all_parser = sub.add_parser("all", help="run every experiment")
-    all_parser.add_argument(
-        "--json", action="store_true", help="machine-readable check results"
-    )
-    all_parser.set_defaults(fn=_cmd_all)
+    sub.add_parser(
+        "all", help="run every experiment", parents=[json_opts]
+    ).set_defaults(fn=_cmd_all)
     sub.add_parser("modules", help="print the module catalog").set_defaults(
         fn=_cmd_modules
     )
@@ -419,24 +414,8 @@ def main(argv=None) -> int:
         fn=_cmd_quiz
     )
     trace_parser = sub.add_parser(
-        "trace", help="profile a module workload (timeline, waits, critical path)"
-    )
-    trace_parser.add_argument(
-        "workload", nargs="?", metavar="WORKLOAD",
-        help="workload name (see --list), e.g. kmeans, ring, stencil",
-    )
-    trace_parser.add_argument(
-        "--list", action="store_true", help="list the available workloads"
-    )
-    trace_parser.add_argument(
-        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
-    )
-    trace_parser.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter override (repeatable), e.g. -p k=32",
-    )
-    trace_parser.add_argument(
-        "--width", type=int, default=72, help="timeline width in columns"
+        "trace", parents=[workload_opts, width_opts],
+        help="profile a module workload (timeline, waits, critical path)",
     )
     trace_parser.add_argument(
         "--metrics", action="store_true", help="also print the full metrics registry"
@@ -446,99 +425,25 @@ def main(argv=None) -> int:
         help="write a Chrome trace-event JSON file (Perfetto / chrome://tracing)",
     )
     trace_parser.set_defaults(fn=_cmd_trace)
-    faults_parser = sub.add_parser(
-        "faults",
+    sub.add_parser(
+        "faults", parents=[workload_opts, plan_opts, drill_opts],
         help="run a workload under a fault plan; report survived/degraded/aborted",
-    )
-    faults_parser.add_argument(
-        "workload", nargs="?", metavar="WORKLOAD",
-        help="workload name (see --list), e.g. ring, resilient",
-    )
-    faults_parser.add_argument(
-        "--list", action="store_true", help="list the available workloads"
-    )
-    faults_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="fault plan TOML (omit for an empty plan)",
-    )
-    faults_parser.add_argument(
-        "--seed", type=int, default=None, help="override the plan's seed"
-    )
-    faults_parser.add_argument(
-        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
-    )
-    faults_parser.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter override (repeatable)",
-    )
-    faults_parser.add_argument(
-        "--expect", metavar="OUTCOME", default=None,
-        help="exit non-zero unless the outcome matches (survived/degraded/aborted)",
-    )
-    faults_parser.add_argument(
-        "--waits", action="store_true",
-        help="also print the timeline and fault-attributed wait states",
-    )
-    faults_parser.add_argument(
-        "--width", type=int, default=72, help="timeline width in columns"
-    )
-    faults_parser.set_defaults(fn=_cmd_faults)
+    ).set_defaults(fn=_cmd_faults)
     recover_parser = sub.add_parser(
-        "recover",
+        "recover", parents=[workload_opts, plan_opts, drill_opts],
         help="run a recoverable workload under a crash plan; report "
         "survived/recovered/degraded/aborted plus rollback cost",
-    )
-    recover_parser.add_argument(
-        "workload", nargs="?", metavar="WORKLOAD",
-        help="recoverable workload name (see --list), e.g. kmeans, sort",
-    )
-    recover_parser.add_argument(
-        "--list", action="store_true", help="list the recoverable workloads"
-    )
-    recover_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="fault plan TOML (omit for an empty plan)",
-    )
-    recover_parser.add_argument(
-        "--seed", type=int, default=None, help="override the plan's seed"
-    )
-    recover_parser.add_argument(
-        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
-    )
-    recover_parser.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter override (repeatable)",
     )
     recover_parser.add_argument(
         "--max-recoveries", type=int, default=2,
         help="failure budget: shrink-and-retry at most this many times",
     )
-    recover_parser.add_argument(
-        "--expect", metavar="OUTCOME", default=None,
-        help="exit non-zero unless the outcome matches "
-        "(survived/recovered/degraded/aborted)",
-    )
-    recover_parser.add_argument(
-        "--waits", action="store_true",
-        help="also print the timeline and recovery-attributed wait states",
-    )
-    recover_parser.add_argument(
-        "--width", type=int, default=72, help="timeline width in columns"
-    )
     recover_parser.set_defaults(fn=_cmd_recover)
     sanitize_parser = sub.add_parser(
-        "sanitize",
+        "sanitize", parents=[workload_opts, plan_opts],
         help="run the MPI correctness sanitizer: message races (replay-"
         "confirmed), collective mismatches, leaks; exit 0 clean / "
         "1 warnings / 2 errors",
-    )
-    sanitize_parser.add_argument(
-        "workload", nargs="?", metavar="WORKLOAD",
-        help="workload name (see --list), e.g. sort, kmeans",
-    )
-    sanitize_parser.add_argument(
-        "--list", action="store_true",
-        help="list the available workloads and pitfalls",
     )
     sanitize_parser.add_argument(
         "--pitfall", metavar="NAME", default=None,
@@ -548,20 +453,6 @@ def main(argv=None) -> int:
         "--pitfalls", action="store_true",
         help="sweep the whole pitfalls corpus; exit non-zero unless every "
         "entry surfaces its documented diagnostic",
-    )
-    sanitize_parser.add_argument(
-        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
-    )
-    sanitize_parser.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter override (repeatable)",
-    )
-    sanitize_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="also inject a fault plan TOML (sanitize under faults)",
-    )
-    sanitize_parser.add_argument(
-        "--seed", type=int, default=None, help="override the plan's seed"
     )
     sanitize_parser.add_argument(
         "--no-replay", action="store_true",

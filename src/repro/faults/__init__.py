@@ -22,8 +22,9 @@ handlers (``comm.set_errhandler(smpi.ERRORS_RETURN)``), ``timeout=``
 deadlines on ``recv``/``wait`` raising
 :class:`~repro.errors.SmpiTimeoutError`, and the
 :func:`retry_with_backoff` helper here.  :func:`run_under_faults`
-classifies a workload run as survived / degraded / aborted for the
-``repro faults`` CLI.
+classifies a workload run as survived / degraded / aborted, and
+:func:`fault_report` classifies a run already made (the ``repro
+faults`` CLI, which renders that same run's timeline for ``--waits``).
 """
 
 from repro.faults.plan import (
@@ -39,6 +40,7 @@ from repro.faults.retry import HARD_STOP_ERRORS, retry_with_backoff
 from repro.faults.runner import (
     FaultRunReport,
     canonical_trace,
+    fault_report,
     run_under_faults,
     trace_digest,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "retry_with_backoff",
     "HARD_STOP_ERRORS",
     "run_under_faults",
+    "fault_report",
     "FaultRunReport",
     "canonical_trace",
     "trace_digest",

@@ -17,6 +17,7 @@ and as part of the deterministic probability hash (see
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -172,23 +173,56 @@ _SELECTOR_KEYS = (
     "src", "dst", "tag", "min_bytes", "after_n", "count", "probability",
 )
 
-
-def _selector_from(spec: dict[str, Any], kind: str) -> MessageSelector:
-    fields = {k: spec[k] for k in _SELECTOR_KEYS if k in spec}
-    extra = set(spec) - set(_SELECTOR_KEYS) - _EXTRA_KEYS[kind]
-    if extra:
-        raise ValidationError(
-            f"unknown key(s) {sorted(extra)} in [[{kind}]] fault spec"
-        )
-    return MessageSelector(**fields)
-
-
-_EXTRA_KEYS: dict[str, set[str]] = {
-    "drop": set(),
-    "duplicate": {"copies"},
-    "delay": {"seconds"},
-    "slow_link": {"factor", "per_byte"},
+#: the keys each ``[[kind]]`` table of a plan spec takes
+_TABLE_KEYS: dict[str, tuple[str, ...]] = {
+    "drop": _SELECTOR_KEYS,
+    "duplicate": _SELECTOR_KEYS + ("copies",),
+    "delay": _SELECTOR_KEYS + ("seconds",),
+    "slow_link": _SELECTOR_KEYS + ("factor", "per_byte"),
+    "crash": ("rank", "at_time", "on_nth_send"),
 }
+
+#: spec keys whose value is a (finite) number; every other key is an integer
+_NUMBER_KEYS = frozenset({"probability", "seconds", "factor", "per_byte", "at_time"})
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_type(where: str, key: str, value: Any) -> None:
+    """Reject a spec value whose type does not fit ``key``.
+
+    TOML booleans are Python ints, so they are rejected explicitly.
+    """
+    if key in _NUMBER_KEYS:
+        # the bounds reject nan, infinities and ints too large for a float
+        ok = isinstance(value, (int, float)) and -_FLOAT_MAX < value < _FLOAT_MAX
+        expected = "a finite number"
+    else:
+        ok = isinstance(value, int)
+        expected = "an integer"
+    if not ok or isinstance(value, bool):
+        raise ValidationError(f"{where} key {key!r} must be {expected}, got {value!r}")
+
+
+def _tables(spec: dict[str, Any], kind: str) -> list[dict[str, Any]]:
+    """The ``[[kind]]`` tables of a plan spec, keys and value types checked."""
+    tables = spec.get(kind, [])
+    if not isinstance(tables, list) or not all(isinstance(t, dict) for t in tables):
+        raise ValidationError(
+            f"fault plan key {kind!r} must be a list of tables ([[{kind}]])"
+        )
+    for table in tables:
+        extra = set(table) - set(_TABLE_KEYS[kind])
+        if extra:
+            raise ValidationError(
+                f"unknown key(s) {sorted(extra)} in [[{kind}]] fault spec"
+            )
+        for key, value in table.items():
+            _check_type(f"[[{kind}]]", key, value)
+    return tables
+
+
+def _selector(table: dict[str, Any]) -> dict[str, Any]:
+    return {k: table[k] for k in _SELECTOR_KEYS if k in table}
 
 
 @dataclass(frozen=True)
@@ -270,36 +304,31 @@ class FaultPlan:
         Top-level keys: ``seed`` (int) plus lists ``drop``,
         ``duplicate``, ``delay``, ``slow_link`` and ``crash``, each a
         list of tables whose keys are the corresponding dataclass /
-        selector fields.
+        selector fields.  Counts, ranks and the seed must be integers
+        (not booleans), the other values finite numbers; anything else
+        raises :class:`~repro.errors.ValidationError` naming the key.
         """
-        known = {"seed", "drop", "duplicate", "delay", "slow_link", "crash"}
-        extra = set(spec) - known
+        extra = set(spec) - {"seed", *_TABLE_KEYS}
         if extra:
             raise ValidationError(f"unknown key(s) {sorted(extra)} in fault plan")
-        plan = cls(seed=int(spec.get("seed", 0)))
-        for entry in spec.get("drop", ()):
-            plan = plan.drop(**_selector_from(entry, "drop").__dict__)
-        for entry in spec.get("duplicate", ()):
-            sel = _selector_from(entry, "duplicate")
-            plan = plan.duplicate(copies=entry.get("copies", 1), **sel.__dict__)
-        for entry in spec.get("delay", ()):
+        seed = spec.get("seed", 0)
+        _check_type("fault plan", "seed", seed)
+        plan = cls(seed=seed)
+        for entry in _tables(spec, "drop"):
+            plan = plan.drop(**_selector(entry))
+        for entry in _tables(spec, "duplicate"):
+            plan = plan.duplicate(copies=entry.get("copies", 1), **_selector(entry))
+        for entry in _tables(spec, "delay"):
             if "seconds" not in entry:
                 raise ValidationError("[[delay]] fault needs 'seconds'")
-            sel = _selector_from(entry, "delay")
-            plan = plan.delay(entry["seconds"], **sel.__dict__)
-        for entry in spec.get("slow_link", ()):
-            sel = _selector_from(entry, "slow_link")
+            plan = plan.delay(entry["seconds"], **_selector(entry))
+        for entry in _tables(spec, "slow_link"):
             plan = plan.slow_link(
                 factor=entry.get("factor", 1.0),
                 per_byte=entry.get("per_byte", 0.0),
-                **sel.__dict__,
+                **_selector(entry),
             )
-        for entry in spec.get("crash", ()):
-            unknown = set(entry) - {"rank", "at_time", "on_nth_send"}
-            if unknown:
-                raise ValidationError(
-                    f"unknown key(s) {sorted(unknown)} in [[crash]] fault spec"
-                )
+        for entry in _tables(spec, "crash"):
             if "rank" not in entry:
                 raise ValidationError("[[crash]] fault needs 'rank'")
             plan = plan.crash(
@@ -314,11 +343,15 @@ class FaultPlan:
         """Load a plan from a TOML file (stdlib ``tomllib``, 3.11+)."""
         import tomllib
 
-        with open(path, "rb") as fh:
-            try:
+        try:
+            with open(path, "rb") as fh:
                 spec = tomllib.load(fh)
-            except tomllib.TOMLDecodeError as exc:
-                raise ValidationError(f"bad fault-plan TOML {path}: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot read fault plan {path}: {exc.strerror or exc}"
+            ) from exc
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"bad fault-plan TOML {path}: {exc}") from exc
         return cls.from_spec(spec)
 
     def describe(self) -> str:

@@ -22,9 +22,12 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.faults.plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.smpi.runtime import RunResult
 
 OUTCOMES = ("survived", "degraded", "aborted")
 
@@ -115,6 +118,11 @@ def run_under_faults(
     from repro.obs.workloads import run_workload
 
     out = run_workload(name, nprocs=nprocs, faults=plan, check=False, **params)
+    return fault_report(name, out)
+
+
+def fault_report(name: str, out: "RunResult") -> FaultRunReport:
+    """Classify one ``check=False`` run of workload ``name``."""
     world = out.world
     events = world.tracer.events
     fault_events: dict[str, int] = {}

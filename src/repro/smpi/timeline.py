@@ -40,6 +40,8 @@ def render_timeline(
     order recovery > fault > collective > p2p > compute (faults and
     recovery dominate visually, as they dominate attention).
     """
+    if width < 1:
+        raise ValidationError(f"timeline width must be >= 1, got {width}")
     events = tracer.events
     if not events:
         raise ValidationError("trace is empty — was tracing enabled?")

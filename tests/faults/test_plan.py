@@ -1,6 +1,7 @@
 """FaultPlan / MessageSelector construction, validation, and loading."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.faults import (
@@ -149,6 +150,61 @@ class TestFromSpec:
         with pytest.raises(ValidationError, match="unknown key"):
             FaultPlan.from_spec({"crash": [{"rank": 1, "at": 0.0}]})
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"seed": "abc"}, "'seed'"),
+            ({"seed": 1.5}, "'seed'"),
+            ({"seed": True}, "'seed'"),
+            ({"drop": [1]}, "'drop'"),
+            ({"drop": {"src": 1}}, "'drop'"),
+            ({"drop": [{"src": "x"}]}, "'src'"),
+            ({"drop": [{"probability": "x"}]}, "'probability'"),
+            ({"drop": [{"count": "x"}]}, "'count'"),
+            ({"drop": [{"count": 1.5}]}, "'count'"),
+            ({"duplicate": [{"copies": "x"}]}, "'copies'"),
+            ({"delay": [{"seconds": "x"}]}, "'seconds'"),
+            ({"delay": [{"seconds": float("inf")}]}, "'seconds'"),
+            ({"slow_link": [{"factor": "x"}]}, "'factor'"),
+            ({"slow_link": [{"factor": float("nan")}]}, "'factor'"),
+            ({"crash": [1]}, "'crash'"),
+            ({"crash": [{"rank": "x", "at_time": 0.0}]}, "'rank'"),
+            ({"crash": [{"rank": True, "at_time": 0.0}]}, "'rank'"),
+            ({"crash": [{"rank": 1, "at_time": "x"}]}, "'at_time'"),
+        ],
+    )
+    def test_wrong_types_are_rejected_naming_the_key(self, spec, key):
+        with pytest.raises(ValidationError, match=key):
+            FaultPlan.from_spec(spec)
+
+
+_KNOWN_KEYS = (
+    "seed", "drop", "duplicate", "delay", "slow_link", "crash",
+    "src", "dst", "tag", "min_bytes", "after_n", "count", "probability",
+    "copies", "seconds", "factor", "per_byte", "rank", "at_time", "on_nth_send",
+)
+_SCALARS = (
+    st.integers(-5, 5) | st.integers() | st.floats() | st.booleans() | st.text(max_size=3)
+)
+_TOML_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KNOWN_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.dictionaries(st.sampled_from(_KNOWN_KEYS), _TOML_VALUES, max_size=4))
+def test_from_spec_returns_a_plan_or_raises_validation_error(spec):
+    """Whatever TOML-shaped dict comes in, nothing but ValidationError
+    comes out."""
+    try:
+        plan = FaultPlan.from_spec(spec)
+    except ValidationError:
+        return
+    assert isinstance(plan, FaultPlan)
+
 
 class TestFromToml:
     def test_load(self, tmp_path):
@@ -170,6 +226,16 @@ class TestFromToml:
         assert plan.seed == 7
         assert plan.drops[0].selector.src == 2
         assert plan.crashes[0].rank == 3
+
+    def test_unreadable_file_raises_validation_error(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read fault plan"):
+            FaultPlan.from_toml(str(tmp_path / "nosuch.toml"))
+        with pytest.raises(ValidationError, match="cannot read fault plan"):
+            FaultPlan.from_toml(str(tmp_path))  # a directory
+        binary = tmp_path / "binary.toml"
+        binary.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValidationError, match="bad fault-plan TOML"):
+            FaultPlan.from_toml(str(binary))
 
     def test_bad_toml_raises_validation_error(self, tmp_path):
         path = tmp_path / "bad.toml"

@@ -101,6 +101,15 @@ def test_timeline_rejects_nonpositive_horizon():
         render_timeline(tracer, t_end=0.0)
 
 
+def test_timeline_width_must_be_positive():
+    tracer = Tracer()
+    tracer.record(0, "compute", "compute", 0, 0.0, 1.0)
+    for width in (0, -5):
+        with pytest.raises(ValidationError, match="width"):
+            render_timeline(tracer, width=width)
+    assert "rank   0 |#|" in render_timeline(tracer, width=1)
+
+
 def test_timeline_proportions():
     """A rank computing 90% of the time shows mostly '#'."""
 

@@ -42,13 +42,45 @@ def test_run_unknown_id(capsys):
         (["recover", "nosuch"], 2),
         (["sanitize", "nosuch"], 3),
         (["sanitize", "--pitfall", "nosuch"], 3),
+        (["trace"], 2),
+        (["faults"], 2),
+        (["recover"], 2),
+        (["sanitize"], 3),
+        (["faults", "ring", "--expect", "fine"], 2),
+        (["recover", "kmeans", "--expect", "fine"], 2),
+        (["faults", "ring", "--plan", "no/such/plan.toml"], 2),
+        (["recover", "kmeans", "--plan", "no/such/plan.toml"], 2),
+        (["sanitize", "sort", "--plan", "no/such/plan.toml"], 3),
+        (["faults", "ring", "--plan", "."], 2),  # a directory
+        (["trace", "ring", "--width", "0"], 2),
+        (["trace", "ring", "--width", "-5"], 2),
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, code, capsys):
     assert main(argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Traceback" not in captured.out
+
+
+def test_faults_waits_runs_the_workload_once(monkeypatch, capsys):
+    """The timeline ``--waits`` draws is the run the report classifies,
+    not a second run of the same workload."""
+    from repro.smpi import runtime
+
+    built = []
+    init = runtime.World.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runtime.World, "__init__", counting_init)
+    assert main(["faults", "resilient", "--seed", "9", "--waits"]) == 0
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert "outcome:   survived" in out and "Wait states" in out
 
 
 @pytest.mark.parametrize(

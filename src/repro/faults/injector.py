@@ -1,13 +1,14 @@
 """The fault injector: turns a :class:`~repro.faults.plan.FaultPlan`
 into per-message decisions inside the smpi runtime.
 
-Determinism is the whole point.  Probabilistic faults do **not** use a
-shared RNG (thread scheduling would make draws race); each decision is
-an independent hash of ``(seed, fault key, src, dst, match ordinal)``,
-and match ordinals are counted per sending rank — every rank's
-decisions follow its own program order, so the same seed and plan
-reproduce the same faults no matter how the OS schedules the rank
-threads.  The hash is a stable blake2b, not Python's randomized
+Determinism is the whole point.  Probabilistic faults do **not** draw
+from a shared RNG: ranks run one at a time, so its draws would not race,
+but which message got which draw would then depend on how every rank's
+sends interleave.  Instead each decision is an independent hash of
+``(seed, fault key, src, dst, match ordinal)``, and match ordinals are
+counted per sending rank — every rank's decisions follow its own
+program order, so a rank's faults do not move when another rank's code
+changes.  The hash is a stable blake2b, not Python's randomized
 ``hash()``, so runs agree *across* processes too.
 
 Injected faults are visible in the trace: every decision records a
@@ -24,8 +25,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import _RankSelfCrash
-from repro.faults.plan import CrashFault, FaultPlan
+from repro.errors import ValidationError, _RankSelfCrash
+from repro.faults.plan import ANY, CrashFault, FaultPlan
 from repro.smpi.collectives import copy_payload
 from repro.smpi.message import Envelope
 
@@ -61,11 +62,14 @@ class FaultInjector:
     """Live fault state for one :class:`~repro.smpi.runtime.World`.
 
     Constructed by the world only when the plan is non-empty, so the
-    no-faults fast path stays a single ``is None`` check per call.
+    no-faults fast path stays a single ``is None`` check per call.  A
+    plan naming a rank outside the world is a
+    :class:`~repro.errors.ValidationError` here: its fault could never
+    fire.
 
     Thread-safety: all counters are keyed by the *sending* rank and each
     rank runs on one thread, so every key is touched by exactly one
-    thread; the tracer and metrics registry carry their own locks.
+    thread.
     """
 
     def __init__(
@@ -76,6 +80,15 @@ class FaultInjector:
         metrics: "MetricsRegistry",
         next_seq: Callable[[], int],
     ):
+        for f in plan.all_faults:
+            crash = isinstance(f, CrashFault)
+            ranks = {"rank": f.rank} if crash else {"src": f.selector.src, "dst": f.selector.dst}
+            for name, rank in ranks.items():
+                if not (0 <= rank < nprocs or (rank == ANY and not crash)):
+                    raise ValidationError(
+                        f"fault {f.key!r}: {name} {rank} is not a rank of this world "
+                        f"(nprocs={nprocs})"
+                    )
         self.plan = plan
         self.nprocs = nprocs
         self.tracer = tracer

@@ -71,4 +71,7 @@ def retry_with_backoff(
             last = exc
             timeout *= backoff
     assert last is not None
-    raise last
+    try:
+        raise last
+    finally:
+        last = None  # the traceback holds this frame: break the cycle

@@ -352,22 +352,25 @@ class CollectiveContext:
                 sync_wait.observe(start - self.entry_times[r])
 
 
-class CollectiveTable:
-    """Per-communicator sequence of collective contexts.
+class CallTable:
+    """Per-communicator sequence of rendezvous contexts.
 
-    The *i*-th collective call each rank makes on a communicator joins
-    context *i*; a kind mismatch at the same index is the classic
-    "ranks disagree on which collective comes next" bug and raises a
-    descriptive :class:`SMPIError` instead of deadlocking.
+    One table holds a communicator's collectives, another its shrink/agree
+    calls (:mod:`repro.smpi.ft`).  The *i*-th call each rank makes joins
+    context *i*, built by ``new_context(kind)``; a kind mismatch at the
+    same index is the classic "ranks disagree on which call comes next"
+    bug and raises a descriptive :class:`SMPIError`, headed by ``label``,
+    instead of deadlocking.
     """
 
-    def __init__(self, size: int, metrics=None):
+    def __init__(self, size: int, new_context: Callable[[str], Any], label: str):
         self.size = size
-        self.metrics = metrics
-        self._contexts: dict[int, CollectiveContext] = {}
+        self.new_context = new_context
+        self.label = label
+        self._contexts: dict[int, Any] = {}
         self._next_index: dict[int, int] = {}
 
-    def context_for(self, rank: int, kind: str) -> tuple[int, CollectiveContext]:
+    def context_for(self, rank: int, kind: str) -> tuple[int, Any]:
         """Get (creating if needed) the context for this rank's next call.
 
         Caller must hold the world lock.
@@ -376,11 +379,11 @@ class CollectiveTable:
         self._next_index[rank] = index + 1
         ctx = self._contexts.get(index)
         if ctx is None:
-            ctx = CollectiveContext(kind, self.size, metrics=self.metrics)
+            ctx = self.new_context(kind)
             self._contexts[index] = ctx
         elif ctx.kind != kind:
             raise SMPIError(
-                f"collective mismatch at call #{index}: rank {rank} called "
+                f"{self.label} mismatch at call #{index}: rank {rank} called "
                 f"{kind!r} but another rank called {ctx.kind!r}"
             )
         return index, ctx

@@ -38,6 +38,7 @@ from repro.smpi.datatypes import (
     TAG_UB,
     payload_nbytes,
 )
+from repro.smpi.ft import FtContext
 from repro.smpi.message import Envelope, PostedRecv
 from repro.smpi.request import Request
 from repro.smpi.runtime import World
@@ -229,14 +230,13 @@ class Comm:
         def failure() -> Optional[BaseException]:
             if world_peer not in self.world.crashed:
                 return None
-            exc = SmpiProcFailedError(
-                f"{what}: rank {self._inverse.get(world_peer, world_peer)} "
-                f"(world rank {world_peer}) crashed"
+            return self._failed_locked(
+                SmpiProcFailedError(
+                    f"{what}: rank {self._inverse.get(world_peer, world_peer)} "
+                    f"(world rank {world_peer}) crashed"
+                ),
+                f"rank {self._rank} observed a crashed peer",
             )
-            if self._errhandler == ERRORS_RETURN:
-                return exc
-            self.world.abort_locked(exc, f"rank {self._rank} observed a crashed peer")
-            return None
 
         return failure
 
@@ -261,18 +261,24 @@ class Comm:
             ]
             if not missing:
                 return None
-            exc = SmpiProcFailedError(
-                f"{primitive}: rank(s) {missing} crashed before entering "
-                f"the collective"
+            return self._failed_locked(
+                SmpiProcFailedError(
+                    f"{primitive}: rank(s) {missing} crashed before entering "
+                    f"the collective"
+                ),
+                f"rank {self._rank} observed a crashed peer in {primitive}",
             )
-            if self._errhandler == ERRORS_RETURN:
-                return exc
-            self.world.abort_locked(
-                exc, f"rank {self._rank} observed a crashed peer in {primitive}"
-            )
-            return None
 
         return failure
+
+    def _failed_locked(self, exc: SMPIError, origin: str) -> Optional[BaseException]:
+        """The tail of both crash probes: under ``ERRORS_RETURN`` return
+        ``exc`` for the blocked rank to raise; under ``ERRORS_ARE_FATAL``
+        abort the world in place and return ``None``."""
+        if self._errhandler == ERRORS_RETURN:
+            return exc
+        self.world.abort_locked(exc, origin)
+        return None
 
     def _abandon_timeout(self, t_post: float, deadline: float, what: str) -> NoReturn:
         """Abandon a timed-out blocking wait: charge virtual time up to
@@ -373,18 +379,10 @@ class Comm:
             for dup in duplicates:
                 self.world.deliver_locked(dup)
             if blocking_rendezvous:
-                self.world.block(
-                    src,
-                    take=lambda: env.completion_time,
-                    can_proceed=lambda: env.completion_time is not None,
-                    description=(
-                        f"{primitive}(dest={dest}, tag={tag}, {nbytes} B, rendezvous) "
-                        f"waiting for a matching recv"
-                    ),
-                    failure=self._crashed_peer_failure(
-                        world_dst, f"{primitive}(dest={dest})"
-                    ),
-                    cid=self.cid,
+                self._await_handshake_locked(
+                    env,
+                    f"{primitive}(dest={dest}, tag={tag}, {nbytes} B, rendezvous)",
+                    f"{primitive}(dest={dest})",
                 )
         if blocking_rendezvous:
             self._clock.advance_to(env.completion_time)
@@ -398,17 +396,28 @@ class Comm:
         if mode != "isend":
             return None
         req = Request(self, "isend")
-        if rendezvous:
-            req._env = env  # type: ignore[attr-defined]
-        else:
-            # The request is already satisfied, but completion is
-            # observed (and traced as MPI_Wait) at wait/test time so
-            # the student's call pattern shows up in the trace.
-            req._eager_status = Status(  # type: ignore[attr-defined]
-                source=self._rank, tag=tag, nbytes=nbytes
-            )
+        # An eager isend is already satisfied, but completion is observed
+        # (and traced as MPI_Wait) at wait/test time so the student's call
+        # pattern shows up in the trace.
+        req._env = env
         self._sanitize_request(req, obj)
         return req
+
+    def _await_handshake_locked(
+        self, env: Envelope, what: str, call: str, deadline: Optional[float] = None
+    ) -> None:
+        """Block until the rendezvous handshake of the sent ``env``
+        completes (a blocking send, or ``wait()`` on an isend).  Caller
+        holds the world lock."""
+        self.world.block(
+            self._world_rank,
+            take=lambda: env.completion_time,
+            can_proceed=lambda: env.completion_time is not None,
+            description=f"{what} waiting for a matching recv",
+            failure=self._crashed_peer_failure(env.dest, call),
+            deadline=deadline,
+            cid=env.comm_cid,
+        )
 
     # -- point-to-point: receives ----------------------------------------------
 
@@ -458,15 +467,7 @@ class Comm:
                 if hold:
                     self.world.wildcard_holds[me] = pr
                 try:
-                    env = self.world.block(
-                        me,
-                        take=lambda: pr.envelope,
-                        can_proceed=lambda: pr.envelope is not None,
-                        description=f"{what} waiting for a message",
-                        failure=self._crashed_peer_failure(world_src, what),
-                        deadline=deadline,
-                        cid=self.cid,
-                    )
+                    env = self._await_message_locked(pr, what, deadline)
                 except SmpiTimeoutError:
                     queues.cancel(pr)
                     self._abandon_timeout(t_post, deadline, what)
@@ -493,9 +494,28 @@ class Comm:
         self._fill_status(status, env)
         return env.payload
 
+    def _await_message_locked(
+        self, pr: PostedRecv, what: str, deadline: Optional[float]
+    ) -> Envelope:
+        """Block until the posted receive ``pr`` is matched (a ``recv``,
+        or ``wait()`` on an irecv); returns the envelope.  Caller holds
+        the world lock."""
+        return self.world.block(
+            self._world_rank,
+            take=lambda: pr.envelope,
+            can_proceed=lambda: pr.envelope is not None,
+            description=f"{what} waiting for a message",
+            failure=self._crashed_peer_failure(pr.source, what),
+            deadline=deadline,
+            cid=pr.comm_cid,
+        )
+
     def _complete_match_locked(self, env: Envelope) -> float:
         """Finish the protocol for a matched envelope; returns completion time.
 
+        The rendezvous handshake completes here, as soon as both sides
+        are posted — for an irecv that is at the irecv, not at its wait,
+        so a compute phase in between genuinely overlaps the transfer.
         Caller holds the world lock.
         """
         now = self._clock.now
@@ -524,33 +544,22 @@ class Comm:
         self._maybe_crash()
         self._check_revoked("MPI_Irecv")
         me = self._world_rank
+        t_post = self._clock.now
         req = Request(self, "irecv")
-        req._post_time = self._clock.now  # type: ignore[attr-defined]
         with self.world.lock:
             self.world.check_abort_locked()
             queues = self.world.queues[me]
-            env = queues.take_unexpected(world_src, tag, self.cid)
-            if env is not None:
-                # The rendezvous handshake completes now that both sides
-                # are posted — not at wait time — so a compute phase
-                # between irecv and wait genuinely overlaps the transfer.
-                if env.rendezvous and env.completion_time is None:
-                    env.completion_time = (
-                        max(env.send_time, self._clock.now) + env.net_time
-                    )
-                    env.arrival_time = env.completion_time
-                    self.world.ready_rank_locked(env.source)
-                req._env = env  # type: ignore[attr-defined]
+            req._env = queues.take_unexpected(world_src, tag, self.cid)
+            if req._env is not None:
+                self._complete_match_locked(req._env)
             else:
-                pr = PostedRecv(
+                req._pr = PostedRecv(
                     dest=me, source=world_src, tag=tag, comm_cid=self.cid,
-                    post_time=self._clock.now, seq=self.world.next_seq(),
+                    post_time=t_post, seq=self.world.next_seq(),
                 )
-                queues.post(pr)
-                req._pr = pr  # type: ignore[attr-defined]
+                queues.post(req._pr)
         self.world.tracer.record(
-            me, "p2p", "MPI_Irecv", 0,
-            req._post_time, req._post_time, cid=self.cid,  # type: ignore[attr-defined]
+            me, "p2p", "MPI_Irecv", 0, t_post, t_post, cid=self.cid
         )
         self._sanitize_request(req, None)
         return req
@@ -563,30 +572,21 @@ class Comm:
         me = self._world_rank
         t_wait = self._clock.now
         deadline = None if timeout is None else t_wait + timeout
+        env = req._env
         if req.kind == "isend":
-            env = getattr(req, "_env", None)
-            if env is None:  # eager isend: completes instantly at the wait
-                status = getattr(req, "_eager_status", None) or Status()
+            if not env.rendezvous:  # eager isend: completes instantly at the wait
                 self.world.tracer.record(
-                    me, "p2p", "MPI_Wait", status.nbytes, t_wait, t_wait, cid=self.cid
+                    me, "p2p", "MPI_Wait", env.nbytes, t_wait, t_wait, cid=self.cid
                 )
-                req._finish(None, status)
+                req._finish(None, Status(source=self._rank, tag=env.tag, nbytes=env.nbytes))
                 return
             with self.world.lock:
                 try:
-                    self.world.block(
-                        me,
-                        take=lambda: env.completion_time,
-                        can_proceed=lambda: env.completion_time is not None,
-                        description=(
-                            f"MPI_Wait(isend tag={env.tag}, {env.nbytes} B, rendezvous) "
-                            f"waiting for a matching recv"
-                        ),
-                        failure=self._crashed_peer_failure(
-                            env.dest, f"MPI_Wait(isend tag={env.tag})"
-                        ),
-                        deadline=deadline,
-                        cid=env.comm_cid,
+                    self._await_handshake_locked(
+                        env,
+                        f"MPI_Wait(isend tag={env.tag}, {env.nbytes} B, rendezvous)",
+                        f"MPI_Wait(isend tag={env.tag})",
+                        deadline,
                     )
                 except SmpiTimeoutError:
                     # The request stays pending; a later wait may complete it.
@@ -601,32 +601,19 @@ class Comm:
             req._finish(None, Status(tag=env.tag, nbytes=env.nbytes))
             return
         # irecv
-        env = getattr(req, "_env", None)
-        if env is None:
-            pr = req._pr  # type: ignore[attr-defined]
-            with self.world.lock:
-                self.world.check_abort_locked()
+        with self.world.lock:
+            if env is None:
                 try:
-                    env = self.world.block(
-                        me,
-                        take=lambda: pr.envelope,
-                        can_proceed=lambda: pr.envelope is not None,
-                        description="MPI_Wait(irecv) waiting for a message",
-                        failure=self._crashed_peer_failure(
-                            pr.source, "MPI_Wait(irecv)"
-                        ),
-                        deadline=deadline,
-                        cid=pr.comm_cid,
+                    env = req._env = self._await_message_locked(
+                        req._pr, "MPI_Wait(irecv)", deadline
                     )
                 except SmpiTimeoutError:
                     # The posted receive stays live; retry with wait() later.
                     self._abandon_timeout(t_wait, deadline, "MPI_Wait(irecv)")
-        with self.world.lock:
             completion = self._complete_match_locked(env)
             if deadline is not None and completion > deadline:
-                # Matched, but the payload lands after the deadline: keep
-                # the match on the request and let a later wait finish it.
-                req._env = env  # type: ignore[attr-defined]
+                # Matched, but the payload lands after the deadline: the
+                # match stays on the request and a later wait finishes it.
                 self._abandon_timeout(t_wait, deadline, "MPI_Wait(irecv)")
         self._clock.advance_to(completion)
         self.world.tracer.record(
@@ -637,23 +624,22 @@ class Comm:
         status = Status()
         self._fill_status(status, env)
         payload = env.payload
-        buf = getattr(req, "_recv_buffer", None)
-        if buf is not None:
-            _copy_into_buffer(payload, buf)
-            payload = buf
+        if req._recv_buffer is not None:
+            _copy_into_buffer(payload, req._recv_buffer)
+            payload = req._recv_buffer
         req._finish(payload, status)
 
     def _test_request(self, req: Request) -> None:
         """Complete ``req`` if it can complete now; otherwise yield the
         baton, so a test loop lets the rank it waits for run."""
-        env = getattr(req, "_env", None)
         with self.world.lock:
-            if req.kind == "isend":  # eager (no envelope) or rendezvous
-                ready = env is None or env.completion_time is not None
+            if req.kind == "isend":
+                env = req._env
+                ready = not env.rendezvous or env.completion_time is not None
             else:
-                if env is None:
-                    env = req._env = req._pr.envelope  # type: ignore[attr-defined]
-                ready = env is not None
+                if req._env is None:
+                    req._env = req._pr.envelope
+                ready = req._env is not None
             if not ready:
                 self.world.yield_locked(self._world_rank)
         if ready:
@@ -902,32 +888,8 @@ class Comm:
         rank order.  The new communicator has fresh matching queues and
         collective state and inherits this one's error handler.
         """
-        self._maybe_crash()
-        me = self._world_rank
-        t0 = self._clock.now
-        world = self.world
-        with world.lock:
-            world.check_abort_locked()
-            ctx = world.ft_table(self.cid).context_for(self._rank, "shrink")
-            ctx.join(self._rank, None, t0)
-            world.block(
-                me,
-                take=lambda: world.ft_poll_locked(ctx),
-                can_proceed=lambda: ctx.done or ctx.ready(world.live),
-                description=(
-                    f"MPIX_Comm_shrink(cid={self.cid}) waiting for survivors"
-                ),
-            )
-            new_cid = ctx.new_cid
-            new_rank = ctx.survivors.index(self._rank)
-            completion = ctx.completion
-        self._clock.advance_to(max(self._clock.now, completion))
-        world.tracer.record(
-            me, "recovery", "MPIX_Comm_shrink", 0, t0, self._clock.now,
-            cid=self.cid,
-        )
-        world.metrics.counter("smpi.recovery.shrinks", rank=me).inc()
-        new_comm = Comm(world, new_cid, new_rank)
+        ctx = self._ft_call("shrink", None)
+        new_comm = Comm(self.world, ctx.new_cid, ctx.survivors.index(self._rank))
         new_comm._errhandler = self._errhandler
         return new_comm
 
@@ -942,41 +904,41 @@ class Comm:
         guaranteeing no failure goes unnoticed across an agreement.
         Works on a revoked communicator.
         """
+        ctx = self._ft_call("agree", bool(flag))
+        unacked = sorted(
+            wr for wr in self.group if wr in self.world.crashed and wr not in self._acked
+        )
+        if unacked:
+            raise SmpiProcFailedError(
+                f"MPIX_Comm_agree: unacknowledged process failure(s) at "
+                f"world rank(s) {unacked}; call failure_ack() first"
+            )
+        return bool(ctx.result)
+
+    def _ft_call(self, kind: str, contribution: Any) -> FtContext:
+        """Join this rank's next shrink/agree call on the communicator and
+        wait until every live member has joined; returns the finished
+        context."""
         self._maybe_crash()
         me = self._world_rank
         t0 = self._clock.now
         world = self.world
         with world.lock:
             world.check_abort_locked()
-            ctx = world.ft_table(self.cid).context_for(self._rank, "agree")
-            ctx.join(self._rank, bool(flag), t0)
+            _, ctx = world.ft_table(self.cid).context_for(self._rank, kind)
+            ctx.join(self._rank, contribution, t0)
             world.block(
                 me,
                 take=lambda: world.ft_poll_locked(ctx),
                 can_proceed=lambda: ctx.done or ctx.ready(world.live),
-                description=(
-                    f"MPIX_Comm_agree(cid={self.cid}) waiting for survivors"
-                ),
+                description=f"MPIX_Comm_{kind}(cid={self.cid}) waiting for survivors",
             )
-            result = bool(ctx.result)
-            completion = ctx.completion
-            unacked = sorted(
-                wr
-                for wr in self.group
-                if wr in world.crashed and wr not in self._acked
-            )
-        self._clock.advance_to(max(self._clock.now, completion))
+        self._clock.advance_to(max(self._clock.now, ctx.completion))
         world.tracer.record(
-            me, "recovery", "MPIX_Comm_agree", 0, t0, self._clock.now,
-            cid=self.cid,
+            me, "recovery", f"MPIX_Comm_{kind}", 0, t0, self._clock.now, cid=self.cid
         )
-        world.metrics.counter("smpi.recovery.agrees", rank=me).inc()
-        if unacked:
-            raise SmpiProcFailedError(
-                f"MPIX_Comm_agree: unacknowledged process failure(s) at "
-                f"world rank(s) {unacked}; call failure_ack() first"
-            )
-        return result
+        world.metrics.counter(f"smpi.recovery.{kind}s", rank=me).inc()
+        return ctx
 
     def failure_ack(self) -> list[int]:
         """Acknowledge every currently-known failed member
@@ -1132,7 +1094,7 @@ class Comm:
     ) -> Request:
         """Non-blocking buffer receive; ``wait`` fills ``buf``."""
         req = self.irecv(source, tag)
-        req._recv_buffer = buf  # type: ignore[attr-defined]
+        req._recv_buffer = buf
         return req
 
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:

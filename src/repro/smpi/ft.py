@@ -11,7 +11,9 @@ that dies mid-operation is simply dropped from the requirement.
 An :class:`FtContext` is the meeting point for one such call.  Like a
 :class:`~repro.smpi.collectives.CollectiveContext` it is guarded by the
 world lock, ranks join in any order, and the first rank to observe the
-completion condition finalizes results for everyone.  Costs are charged
+completion condition finalizes results for everyone, and a
+:class:`~repro.smpi.collectives.CallTable` sequences each communicator's
+shrink/agree calls as another sequences its collectives.  Costs are charged
 as ``O(log p)`` latency rounds over the survivor group, measured from
 the last survivor's entry — both operations are agreement protocols at
 heart, so a barrier-like cost model is the honest one.
@@ -101,36 +103,3 @@ class FtContext:
             rounds = AGREE_ALPHA_ROUNDS
         self.completion = start + rounds * log2ceil(max(s, 2)) * alpha
         self.done = True
-
-
-class FtTable:
-    """Per-communicator sequence of fault-tolerant contexts.
-
-    Mirrors :class:`~repro.smpi.collectives.CollectiveTable`: the *i*-th
-    shrink/agree call each rank makes on a communicator joins context
-    *i*, and a kind mismatch at the same index raises a descriptive
-    error instead of deadlocking.
-    """
-
-    def __init__(self, group: tuple[int, ...]):
-        self.group = group
-        self._contexts: dict[int, FtContext] = {}
-        self._next_index: dict[int, int] = {}
-
-    def context_for(self, rank: int, kind: str) -> FtContext:
-        """Get (creating if needed) this rank's next context.
-
-        Caller must hold the world lock.
-        """
-        index = self._next_index.get(rank, 0)
-        self._next_index[rank] = index + 1
-        ctx = self._contexts.get(index)
-        if ctx is None:
-            ctx = FtContext(kind, self.group)
-            self._contexts[index] = ctx
-        elif ctx.kind != kind:
-            raise SMPIError(
-                f"fault-tolerant call mismatch at call #{index}: rank {rank} "
-                f"called {kind!r} but another rank called {ctx.kind!r}"
-            )
-        return ctx

@@ -16,11 +16,10 @@ tag)``:
 
 * unexpected envelopes live in per-key FIFO deques (the O(1) fast path
   for exact-source receives and probes) **and** in one arrival-order
-  list shared by all keys, which wildcard scans, probes and the
-  sanitizer's hold resolver walk to preserve exact arrival-order
-  semantics.  Consumed envelopes are tombstoned in the arrival list
-  (``Envelope.taken``) and compacted lazily, so consuming from a deque
-  never pays an O(n) list deletion.
+  dict keyed by message id (``Envelope.seq``, unique per world) shared
+  by all keys, which wildcard scans, probes and the sanitizer's hold
+  resolver walk to preserve exact arrival-order semantics.  A dict keeps
+  insertion order, so consuming an envelope is one O(1) ``del``.
 * posted receives are split into per-key deques (exact receives) and a
   post-order wildcard side-list (``ANY_SOURCE``/``ANY_TAG``, which is
   also where sanitizer-``hold`` receives always land).  An arriving
@@ -37,13 +36,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.smpi.datatypes import ANY_SOURCE, ANY_TAG
-
-#: compact the arrival-order list once this many tombstones accumulate
-#: *and* they are the majority — amortized O(1) per consumed envelope.
-_COMPACT_MIN_TOMBSTONES = 32
 
 
 @dataclass
@@ -70,9 +65,6 @@ class Envelope:
     completion_time: Optional[float] = None
     comm_cid: int = 0
     seq: int = field(kw_only=True)
-    #: tombstone flag: True once consumed from the unexpected queue (the
-    #: arrival-order list keeps the entry until the next lazy compaction).
-    taken: bool = field(default=False, compare=False, repr=False)
 
     def matches(self, source: int, tag: int, comm_cid: int) -> bool:
         """Does this envelope satisfy a receive for ``(source, tag)``?"""
@@ -123,10 +115,9 @@ class MatchingQueues:
     def __init__(self, rank: int):
         self.rank = rank
         # unexpected side: per-(cid, source, tag) FIFO deques plus one
-        # arrival-order list with lazy tombstones.
+        # arrival-order dict keyed by message id.
         self._unexpected_by_key: dict[tuple[int, int, int], deque[Envelope]] = {}
-        self._arrivals: list[Envelope] = []
-        self._tombstones = 0
+        self._arrivals: dict[int, Envelope] = {}
         # posted side: per-key deques for exact receives, post-order
         # side-list for wildcard (ANY_SOURCE/ANY_TAG, incl. held) ones.
         self._posted_by_key: dict[tuple[int, int, int], deque[PostedRecv]] = {}
@@ -135,7 +126,7 @@ class MatchingQueues:
         #: counters at the end of :func:`repro.smpi.runtime.launch`.
         self.stats = {
             "indexed_hits": 0,     # exact-key deque satisfied the lookup
-            "wildcard_scans": 0,   # arrival-order list had to be walked
+            "wildcard_scans": 0,   # arrival-order dict had to be walked
             "unexpected_enqueued": 0,
         }
 
@@ -143,8 +134,8 @@ class MatchingQueues:
 
     @property
     def unexpected(self) -> list[Envelope]:
-        """Live unexpected envelopes in arrival order (a fresh list)."""
-        return [env for env in self._arrivals if not env.taken]
+        """Unexpected envelopes in arrival order (a fresh list)."""
+        return list(self._arrivals.values())
 
     @property
     def posted(self) -> list[PostedRecv]:
@@ -161,45 +152,25 @@ class MatchingQueues:
     def _key(env: Envelope) -> tuple[int, int, int]:
         return (env.comm_cid, env.source, env.tag)
 
-    def _maybe_compact(self) -> None:
-        if (
-            self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 >= len(self._arrivals)
-        ):
-            self._arrivals = [env for env in self._arrivals if not env.taken]
-            self._tombstones = 0
-
-    def _iter_live(self) -> Iterator[Envelope]:
-        for env in self._arrivals:
-            if not env.taken:
-                yield env
-
-    def _consume(self, env: Envelope, *, popped: bool = False) -> None:
-        """Remove ``env`` from the index and tombstone its arrival entry.
-
-        ``popped=True`` means the caller already removed it from its key
-        deque (the O(1) head pop); otherwise it is unlinked here.
-        """
+    def _consume(self, env: Envelope) -> None:
+        """Remove ``env`` from its key deque (an O(1) pop when it is the
+        head, as it is for every receive) and from the arrival-order dict."""
         key = self._key(env)
-        if not popped:
-            dq = self._unexpected_by_key[key]
-            if dq and dq[0] is env:
-                dq.popleft()
-            else:
-                dq.remove(env)
-        dq = self._unexpected_by_key.get(key)
-        if dq is not None and not dq:
+        dq = self._unexpected_by_key[key]
+        if dq[0] is env:
+            dq.popleft()
+        else:
+            dq.remove(env)
+        if not dq:
             del self._unexpected_by_key[key]
-        env.taken = True
-        self._tombstones += 1
-        self._maybe_compact()
+        del self._arrivals[env.seq]
 
     # -- arriving messages -------------------------------------------------
 
     def _enqueue_unexpected(self, env: Envelope) -> None:
         self.stats["unexpected_enqueued"] += 1
         self._unexpected_by_key.setdefault(self._key(env), deque()).append(env)
-        self._arrivals.append(env)
+        self._arrivals[env.seq] = env
 
     def match_arriving(self, env: Envelope) -> Optional[PostedRecv]:
         """Try to pair an arriving envelope with a posted receive.
@@ -266,27 +237,12 @@ class MatchingQueues:
     # -- consuming unexpected messages ------------------------------------
 
     def take_unexpected(self, source: int, tag: int, comm_cid: int) -> Optional[Envelope]:
-        """Remove and return the first matching unexpected envelope.
-
-        "First" is in arrival order, which preserves non-overtaking for
-        any fixed source; under ``ANY_SOURCE`` arrival order is the tie
-        breaker, as in a real MPI.  The exact-key case pops a deque head
-        in O(1); only wildcard receives walk the arrival-order list.
-        """
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            dq = self._unexpected_by_key.get((comm_cid, source, tag))
-            if not dq:
-                return None
-            env = dq.popleft()
-            self.stats["indexed_hits"] += 1
-            self._consume(env, popped=True)
-            return env
-        self.stats["wildcard_scans"] += 1
-        for env in self._iter_live():
-            if env.matches(source, tag, comm_cid):
-                self._consume(env)
-                return env
-        return None
+        """Remove and return the first matching unexpected envelope, the
+        one :meth:`peek_unexpected` finds."""
+        env = self.peek_unexpected(source, tag, comm_cid)
+        if env is not None:
+            self._consume(env)
+        return env
 
     def remove_unexpected(self, env: Envelope) -> None:
         """Remove one specific live envelope (the wildcard-hold resolver,
@@ -304,13 +260,19 @@ class MatchingQueues:
         resolver chooses among exactly this candidate set.
         """
         firsts: dict[int, Envelope] = {}
-        for env in self._iter_live():
+        for env in self._arrivals.values():
             if env.matches(source, tag, comm_cid) and env.source not in firsts:
                 firsts[env.source] = env
         return list(firsts.values())
 
     def peek_unexpected(self, source: int, tag: int, comm_cid: int) -> Optional[Envelope]:
-        """Return (without removing) the first matching unexpected envelope."""
+        """Return (without removing) the first matching unexpected envelope.
+
+        "First" is in arrival order, which preserves non-overtaking for
+        any fixed source; under ``ANY_SOURCE`` arrival order is the tie
+        breaker, as in a real MPI.  The exact-key case reads a deque head
+        in O(1); only wildcard receives walk the arrival-order dict.
+        """
         if source != ANY_SOURCE and tag != ANY_TAG:
             dq = self._unexpected_by_key.get((comm_cid, source, tag))
             if dq:
@@ -318,7 +280,7 @@ class MatchingQueues:
                 return dq[0]
             return None
         self.stats["wildcard_scans"] += 1
-        for env in self._iter_live():
+        for env in self._arrivals.values():
             if env.matches(source, tag, comm_cid):
                 return env
         return None
@@ -333,24 +295,15 @@ class MatchingQueues:
         insertion keeps non-overtaking intact for its source (it was the
         head of its key when taken, so no same-key envelope overtakes).
         """
-        env.taken = False
-        # Rare path: rebuild the arrival list without this envelope's old
-        # tombstone (same object — resurrecting it would duplicate the
-        # entry), then put it back at the very front of both structures.
-        self._arrivals = [
-            e for e in self._arrivals if e is not env and not e.taken
-        ]
-        self._tombstones = 0
-        self._arrivals.insert(0, env)
+        # Rare path: rebuild the arrival-order dict with ``env`` first.
+        self._arrivals = {env.seq: env, **self._arrivals}
         self._unexpected_by_key.setdefault(self._key(env), deque()).appendleft(env)
 
     def purge_cid(self, cid: int) -> None:
         """Drop every unexpected envelope of a revoked communicator."""
-        keep = [
-            env for env in self._arrivals if not env.taken and env.comm_cid != cid
-        ]
-        self._arrivals = keep
-        self._tombstones = 0
+        self._arrivals = {
+            seq: env for seq, env in self._arrivals.items() if env.comm_cid != cid
+        }
         self._unexpected_by_key = {}
-        for env in keep:
+        for env in self._arrivals.values():
             self._unexpected_by_key.setdefault(self._key(env), deque()).append(env)

@@ -14,7 +14,10 @@ from repro.errors import SMPIError
 from repro.smpi.datatypes import Status
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.smpi.communicator import Comm
+    from repro.smpi.message import Envelope, PostedRecv
 
 
 class Request:
@@ -30,6 +33,12 @@ class Request:
         self._complete = False
         self._payload: Any = None
         self._status = Status()
+        #: the sent envelope (isend), or the matched one (irecv) once known
+        self._env: Optional["Envelope"] = None
+        #: an irecv's posted receive, while no message had matched it yet
+        self._pr: Optional["PostedRecv"] = None
+        #: the buffer an ``Irecv`` fills when it completes
+        self._recv_buffer: Optional["np.ndarray"] = None
 
     @property
     def completed(self) -> bool:

@@ -37,6 +37,7 @@ milliseconds of real time.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import threading
@@ -57,8 +58,8 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.smpi.clock import VirtualClock
-from repro.smpi.collectives import CollectiveTable, NetParams
-from repro.smpi.ft import FtContext, FtTable
+from repro.smpi.collectives import CallTable, CollectiveContext, NetParams
+from repro.smpi.ft import FtContext
 from repro.smpi.message import Envelope, MatchingQueues, PostedRecv
 from repro.smpi.trace import Tracer
 
@@ -185,7 +186,7 @@ class World:
                 faults, nprocs, self.tracer, self.metrics, self.next_seq
             )
 
-        self._coll_tables: dict[int, CollectiveTable] = {}
+        self._coll_tables: dict[int, CallTable] = {}
         self._comm_groups: dict[int, tuple[int, ...]] = {}
         self._next_cid = 0
         self._split_cids: dict[tuple, int] = {}
@@ -194,7 +195,7 @@ class World:
         # so lock-free membership reads are safe) and per-cid tables of
         # shrink/agree rendezvous contexts.
         self.revoked_cids: set[int] = set()
-        self._ft_tables: dict[int, FtTable] = {}
+        self._ft_tables: dict[int, CallTable] = {}
 
     # -- communicator/group registry ------------------------------------
 
@@ -207,7 +208,13 @@ class World:
         cid = self._next_cid
         self._next_cid += 1
         self._comm_groups[cid] = group
-        self._coll_tables[cid] = CollectiveTable(len(group), metrics=self.metrics)
+        # The factory binds only what a context needs: a closure over
+        # ``self`` would make every world a reference cycle.
+        self._coll_tables[cid] = CallTable(
+            len(group),
+            functools.partial(CollectiveContext, size=len(group), metrics=self.metrics),
+            "collective",
+        )
         return cid
 
     def split_cid(self, key: tuple, group: tuple[int, ...]) -> int:
@@ -226,7 +233,7 @@ class World:
     def group_of(self, cid: int) -> tuple[int, ...]:
         return self._comm_groups[cid]
 
-    def coll_table(self, cid: int) -> CollectiveTable:
+    def coll_table(self, cid: int) -> CallTable:
         return self._coll_tables[cid]
 
     # -- cost helpers ----------------------------------------------------
@@ -338,7 +345,12 @@ class World:
             if failure is not None:
                 exc = failure()
                 if exc is not None:
-                    raise exc
+                    try:
+                        raise exc
+                    finally:
+                        # The traceback holds this frame: a local left
+                        # pointing back at ``exc`` is a reference cycle.
+                        del exc
                 # An ERRORS_ARE_FATAL probe aborts the world in place.
                 self.check_abort_locked()
             if cid is not None and cid in self.revoked_cids:
@@ -555,11 +567,15 @@ class World:
             self.ready_blocked_locked()
             return True
 
-    def ft_table(self, cid: int) -> FtTable:
+    def ft_table(self, cid: int) -> CallTable:
         """Per-communicator shrink/agree table (caller holds the lock)."""
         table = self._ft_tables.get(cid)
         if table is None:
-            table = FtTable(self._comm_groups[cid])
+            group = self._comm_groups[cid]
+            table = CallTable(
+                len(group), functools.partial(FtContext, group=group),
+                "fault-tolerant call",
+            )
             self._ft_tables[cid] = table
         return table
 

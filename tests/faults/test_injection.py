@@ -371,3 +371,36 @@ class TestRetryHelper:
 
         out = smpi.launch(2, fn)
         assert out.results[0] == 1  # exactly one attempt, no backoff
+
+
+class TestPlanRanksOutsideTheWorld:
+    """A fault naming a rank the world does not have could never fire,
+    so building the world rejects it instead of running fault-free."""
+
+    @pytest.mark.parametrize(
+        "plan, named",
+        [
+            (FaultPlan().crash(99, at_time=0.0), "fault 'crash0': rank 99"),
+            (FaultPlan().crash(4, on_nth_send=1), "fault 'crash0': rank 4"),
+            (FaultPlan().crash(-1, at_time=0.0), "fault 'crash0': rank -1"),
+            (FaultPlan().drop(src=42), "fault 'drop0': src 42"),
+            (FaultPlan().duplicate(dst=4), "fault 'duplicate0': dst 4"),
+            (FaultPlan().delay(1e-3, src=-2), "fault 'delay0': src -2"),
+            (FaultPlan().slow_link(2.0, dst=7), "fault 'slow_link0': dst 7"),
+        ],
+    )
+    def test_out_of_range_rank_is_a_validation_error(self, plan, named):
+        with pytest.raises(ValidationError) as info:
+            smpi.launch(4, _pingpong, faults=plan, check=False)
+        assert str(info.value).startswith(named)
+        assert "nprocs=4" in str(info.value)
+
+    def test_any_and_every_rank_of_the_world_are_accepted(self):
+        plan = (
+            FaultPlan()
+            .drop(src=-1, dst=1, count=1)
+            .delay(1e-6, src=1, dst=-1)
+            .crash(1, at_time=1.0)
+        )
+        out = smpi.launch(2, _pingpong, faults=plan, check=False)
+        assert isinstance(out.error, SmpiTimeoutError)  # the drop fired

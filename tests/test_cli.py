@@ -32,6 +32,14 @@ def test_run_unknown_id(capsys):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+#: plan files, written to the working directory of the bad-input test
+BAD_PLANS = {
+    "crash99.toml": "[[crash]]\nrank = 99\nat_time = 0.0\n",
+    "drop_src42.toml": "[[drop]]\nsrc = 42\n",
+    "delay_dst4.toml": "[[delay]]\ndst = 4\nseconds = 1e-3\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -54,9 +62,18 @@ def test_run_unknown_id(capsys):
         (["faults", "ring", "--plan", "."], 2),  # a directory
         (["trace", "ring", "--width", "0"], 2),
         (["trace", "ring", "--width", "-5"], 2),
+        # plans naming a rank outside the world (see BAD_PLANS)
+        (["faults", "ring", "-n", "4", "--plan", "crash99.toml"], 2),
+        (["faults", "ring", "-n", "4", "--plan", "drop_src42.toml"], 2),
+        (["faults", "ring", "-n", "4", "--plan", "delay_dst4.toml"], 2),
+        (["recover", "kmeans", "--plan", "crash99.toml"], 2),
+        (["sanitize", "ring", "-n", "4", "--plan", "crash99.toml"], 3),
     ],
 )
-def test_bad_input_is_a_one_line_usage_error(argv, code, capsys):
+def test_bad_input_is_a_one_line_usage_error(argv, code, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_PLANS.items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == code
     captured = capsys.readouterr()
     err = captured.err

@@ -13,7 +13,13 @@ from repro.errors import ValidationError
 
 
 class VirtualClock:
-    """A monotonically non-decreasing simulated clock (seconds)."""
+    """A monotonically non-decreasing simulated clock (seconds).
+
+    Everyone reads :attr:`now` except the per-message path of
+    :class:`~repro.smpi.communicator.Comm`, which reads the slot ``_now``
+    to save a property call per read.  Either way the clock moves only
+    through :meth:`advance` and :meth:`advance_to`.
+    """
 
     __slots__ = ("_now",)
 

@@ -56,6 +56,7 @@ class Comm:
         self.world = world
         self.cid = cid
         self.group = world.group_of(cid)
+        self._size = len(self.group)
         self._rank = rank
         self._world_rank = self.group[rank]
         self._inverse = {wr: r for r, wr in enumerate(self.group)}
@@ -76,7 +77,7 @@ class Comm:
     @property
     def size(self) -> int:
         """Number of ranks in the communicator."""
-        return len(self.group)
+        return self._size
 
     @property
     def world_rank(self) -> int:
@@ -98,7 +99,7 @@ class Comm:
         return self._rank
 
     def Get_size(self) -> int:
-        return self.size
+        return self._size
 
     def wtime(self) -> float:
         """Virtual time on this rank (``MPI_Wtime``)."""
@@ -124,9 +125,9 @@ class Comm:
     # -- validation ----------------------------------------------------------
 
     def _check_peer(self, name: str, peer: int) -> int:
-        if not 0 <= peer < self.size:
+        if not 0 <= peer < self._size:
             raise InvalidRankError(
-                f"{name}={peer} out of range for communicator of size {self.size}"
+                f"{name}={peer} out of range for communicator of size {self._size}"
             )
         return self.group[peer]
 
@@ -173,31 +174,24 @@ class Comm:
     Set_errhandler = set_errhandler
     Get_errhandler = get_errhandler
 
-    def _sanitize_request(self, req: Request, buf: Any) -> None:
-        """Register a freshly created nonblocking request with the
-        sanitizer (leak tracking; ndarray send buffers are digested so
-        mutation before completion is detectable)."""
-        san = self.world.sanitizer
-        if san is not None:
-            san.on_request(
-                req,
-                rank=self._world_rank,
-                buf=buf if isinstance(buf, np.ndarray) else None,
-            )
-
     def _maybe_crash(self) -> None:
         """Fault-injection hook at the top of every MPI call: let the
         injector crash *this* rank if its scheduled time has come."""
-        inj = self.world.faults
-        if inj is not None:
-            inj.maybe_crash(self.world, self._world_rank, self._clock.now)
+        self.world.faults.maybe_crash(self.world, self._world_rank, self._clock._now)
+
+    def _on_entry(self, what: str) -> None:
+        """Both hooks at the top of a point-to-point or collective call,
+        crash first; callers gate on either being active."""
+        if self.world.faults is not None:
+            self._maybe_crash()
+        self._check_revoked(what)
 
     def _check_revoked(self, what: str) -> None:
         """Raise :class:`~repro.errors.SmpiRevokedError` if this
         communicator has been revoked (ULFM: only ``shrink``/``agree``/
         failure-ack remain usable).  ``revoked_cids`` only ever grows, so
-        the unlocked emptiness check is a safe zero-cost fast path."""
-        if self.world.revoked_cids and self.cid in self.world.revoked_cids:
+        the callers' unlocked emptiness gate is safe."""
+        if self.cid in self.world.revoked_cids:
             raise SmpiRevokedError(
                 f"{what}: communicator {self.cid} has been revoked"
             )
@@ -321,24 +315,26 @@ class Comm:
     ) -> Optional[Request]:
         world_dst = self._check_peer("dest", dest)
         tag = self._check_send_tag(tag)
-        self._maybe_crash()
-        self._check_revoked(primitive)
+        world = self.world
+        clock = self._clock
+        inj = world.faults
+        if inj is not None or world.revoked_cids:
+            self._on_entry(primitive)
         src = self._world_rank
         nbytes = payload_nbytes(obj)
         payload = copy_payload(obj)
-        ts = self._clock.now
-        net_time = self.world.ptp_net_time(src, world_dst, nbytes)
+        ts = clock._now
+        net_time = world.ptp_net_time(src, world_dst, nbytes)
         decision = None
-        inj = self.world.faults
         if inj is not None:
-            if world_dst in self.world.crashed:
+            if world_dst in world.crashed:
                 self._peer_error(
                     SmpiProcFailedError(
                         f"{primitive}(dest={dest}): destination rank crashed"
                     ),
                     f"rank {self._rank} sent to a crashed rank",
                 )
-            decision = inj.on_send(self.world, src, world_dst, tag, nbytes, ts)
+            decision = inj.on_send(world, src, world_dst, tag, nbytes, ts)
             if decision is not None:
                 # Straggler link and/or one-off delay: stretch the wire time.
                 net_time = net_time * decision.net_factor + decision.extra_delay
@@ -347,7 +343,7 @@ class Comm:
         elif mode == "bsend":
             rendezvous = False
         else:
-            rendezvous = self.world.is_rendezvous(nbytes)
+            rendezvous = world.is_rendezvous(nbytes)
         env = Envelope(
             source=src,
             dest=world_dst,
@@ -359,10 +355,10 @@ class Comm:
             rendezvous=rendezvous,
             arrival_time=None if rendezvous else ts + net_time,
             comm_cid=self.cid,
-            seq=self.world.next_seq(),
+            seq=world.next_seq(),
         )
         dropped = False
-        duplicates: list[Envelope] = []
+        duplicates: Sequence[Envelope] = ()
         if decision is not None:
             # Records the fault trace events (keyed to env.seq) and builds
             # any duplicate envelopes; a dropped message is never delivered
@@ -372,12 +368,13 @@ class Comm:
         tally[0] += 1
         tally[1] += nbytes
         blocking_rendezvous = rendezvous and mode != "isend"
-        with self.world.lock:
-            self.world.check_abort_locked()
+        with world.lock:
+            if world.abort_exc is not None:
+                world.check_abort_locked()
             if not dropped:
-                self.world.deliver_locked(env)
+                world.deliver_locked(env)
             for dup in duplicates:
-                self.world.deliver_locked(dup)
+                world.deliver_locked(dup)
             if blocking_rendezvous:
                 self._await_handshake_locked(
                     env,
@@ -385,12 +382,12 @@ class Comm:
                     f"{primitive}(dest={dest})",
                 )
         if blocking_rendezvous:
-            self._clock.advance_to(env.completion_time)
+            clock.advance_to(env.completion_time)
         elif not rendezvous:
-            self._clock.advance(self.world.ptp_overhead(src, world_dst))
+            clock.advance(world.ptp_overhead(src, world_dst))
         # A rendezvous isend is only posted here: it ends where it began.
-        self.world.tracer.record(
-            src, "p2p", primitive, nbytes, ts, self._clock.now,
+        world.tracer.record(
+            src, "p2p", primitive, nbytes, ts, clock._now,
             peer=world_dst, cid=self.cid, msg_id=env.seq,
         )
         if mode != "isend":
@@ -400,7 +397,12 @@ class Comm:
         # (and traced as MPI_Wait) at wait/test time so the student's call
         # pattern shows up in the trace.
         req._env = env
-        self._sanitize_request(req, obj)
+        if world.sanitizer is not None:
+            # Leak tracking; an ndarray send buffer is digested so that
+            # mutating it before completion is detectable.
+            world.sanitizer.on_request(
+                req, rank=src, buf=obj if isinstance(obj, np.ndarray) else None
+            )
         return req
 
     def _await_handshake_locked(
@@ -439,33 +441,32 @@ class Comm:
         """
         world_src = self._check_source(source)
         tag = self._check_recv_tag(tag)
-        self._maybe_crash()
-        self._check_revoked("MPI_Recv")
+        world = self.world
+        clock = self._clock
+        if world.faults is not None or world.revoked_cids:
+            self._on_entry("MPI_Recv")
         me = self._world_rank
-        t_post = self._clock.now
+        t_post = clock._now
         deadline = None if timeout is None else t_post + timeout
-        what = (
-            f"MPI_Recv(source={source if source != ANY_SOURCE else 'ANY_SOURCE'}, "
-            f"tag={tag if tag != ANY_TAG else 'ANY_TAG'})"
-        )
-        san = self.world.sanitizer
-        hold = san is not None and (world_src == ANY_SOURCE or tag == ANY_TAG)
-        with self.world.lock:
-            self.world.check_abort_locked()
-            queues = self.world.queues[me]
+        hold = world.sanitizer is not None and (world_src == ANY_SOURCE or tag == ANY_TAG)
+        with world.lock:
+            if world.abort_exc is not None:
+                world.check_abort_locked()
+            queues = world.queues[me]
             # Under an active sanitizer a wildcard receive never matches
             # eagerly: it is *held* and resolved by the deadlock checker
             # at the next global stall, where the candidate set — and
             # therefore the whole execution — is schedule-independent.
             env = None if hold else queues.take_unexpected(world_src, tag, self.cid)
             if env is None:
+                what = _describe("MPI_Recv", source, tag)
                 pr = PostedRecv(
                     dest=me, source=world_src, tag=tag, comm_cid=self.cid,
-                    post_time=t_post, hold=hold, seq=self.world.next_seq(),
+                    post_time=t_post, hold=hold, seq=world.next_seq(),
                 )
                 queues.post(pr)
                 if hold:
-                    self.world.wildcard_holds[me] = pr
+                    world.wildcard_holds[me] = pr
                 try:
                     env = self._await_message_locked(pr, what, deadline)
                 except SmpiTimeoutError:
@@ -477,21 +478,22 @@ class Comm:
                     raise
                 finally:
                     if hold:
-                        self.world.wildcard_holds.pop(me, None)
+                        world.wildcard_holds.pop(me, None)
             completion = self._complete_match_locked(env)
             if deadline is not None and completion > deadline:
                 # Matched, but the payload lands after the deadline: put
                 # the envelope back (front of the queue, so ordering and
                 # a later retry both work) and report the timeout.
                 queues.requeue(env)
-                self._abandon_timeout(t_post, deadline, what)
-        self._clock.advance_to(completion)
-        self.world.tracer.record(
-            me, "p2p", "MPI_Recv", env.nbytes, t_post, self._clock.now,
+                self._abandon_timeout(t_post, deadline, _describe("MPI_Recv", source, tag))
+        clock.advance_to(completion)
+        world.tracer.record(
+            me, "p2p", "MPI_Recv", env.nbytes, t_post, clock._now,
             peer=env.source, cid=self.cid, msg_id=env.seq,
         )
         self._tally[(env.source, None)][1] += env.nbytes
-        self._fill_status(status, env)
+        if status is not None:
+            self._fill_status(status, env)
         return env.payload
 
     def _await_message_locked(
@@ -518,7 +520,7 @@ class Comm:
         so a compute phase in between genuinely overlaps the transfer.
         Caller holds the world lock.
         """
-        now = self._clock.now
+        now = self._clock._now
         if env.rendezvous:
             if env.completion_time is None:
                 env.completion_time = max(env.send_time, now) + env.net_time
@@ -528,9 +530,7 @@ class Comm:
             return max(now, env.completion_time)
         return max(now, env.arrival_time if env.arrival_time is not None else now)
 
-    def _fill_status(self, status: Optional[Status], env: Envelope) -> None:
-        if status is None:
-            return
+    def _fill_status(self, status: Status, env: Envelope) -> None:
         status.source = self._inverse.get(env.source, env.source)
         status.tag = env.tag
         status.nbytes = env.nbytes
@@ -541,46 +541,50 @@ class Comm:
         """Non-blocking receive; :meth:`Request.wait` returns the object."""
         world_src = self._check_source(source)
         tag = self._check_recv_tag(tag)
-        self._maybe_crash()
-        self._check_revoked("MPI_Irecv")
+        world = self.world
+        if world.faults is not None or world.revoked_cids:
+            self._on_entry("MPI_Irecv")
         me = self._world_rank
-        t_post = self._clock.now
+        t_post = self._clock._now
         req = Request(self, "irecv")
-        with self.world.lock:
-            self.world.check_abort_locked()
-            queues = self.world.queues[me]
+        with world.lock:
+            if world.abort_exc is not None:
+                world.check_abort_locked()
+            queues = world.queues[me]
             req._env = queues.take_unexpected(world_src, tag, self.cid)
             if req._env is not None:
                 self._complete_match_locked(req._env)
             else:
                 req._pr = PostedRecv(
                     dest=me, source=world_src, tag=tag, comm_cid=self.cid,
-                    post_time=t_post, seq=self.world.next_seq(),
+                    post_time=t_post, seq=world.next_seq(),
                 )
                 queues.post(req._pr)
-        self.world.tracer.record(
+        world.tracer.record(
             me, "p2p", "MPI_Irecv", 0, t_post, t_post, cid=self.cid
         )
-        self._sanitize_request(req, None)
+        if world.sanitizer is not None:
+            world.sanitizer.on_request(req, rank=me)
         return req
 
     # -- request completion (called by Request) ---------------------------------
 
     def _wait_request(self, req: Request, timeout: Optional[float] = None) -> None:
-        self._maybe_crash()
-        self._check_revoked("MPI_Wait")
+        world = self.world
+        if world.faults is not None or world.revoked_cids:
+            self._on_entry("MPI_Wait")
         me = self._world_rank
-        t_wait = self._clock.now
+        t_wait = self._clock._now
         deadline = None if timeout is None else t_wait + timeout
         env = req._env
         if req.kind == "isend":
             if not env.rendezvous:  # eager isend: completes instantly at the wait
-                self.world.tracer.record(
+                world.tracer.record(
                     me, "p2p", "MPI_Wait", env.nbytes, t_wait, t_wait, cid=self.cid
                 )
                 req._finish(None, Status(source=self._rank, tag=env.tag, nbytes=env.nbytes))
                 return
-            with self.world.lock:
+            with world.lock:
                 try:
                     self._await_handshake_locked(
                         env,
@@ -594,14 +598,14 @@ class Comm:
             if deadline is not None and env.completion_time > deadline:
                 self._abandon_timeout(t_wait, deadline, "MPI_Wait(isend)")
             self._clock.advance_to(env.completion_time)
-            self.world.tracer.record(
-                me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock.now,
+            world.tracer.record(
+                me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock._now,
                 peer=env.dest, cid=env.comm_cid, msg_id=env.seq,
             )
             req._finish(None, Status(tag=env.tag, nbytes=env.nbytes))
             return
         # irecv
-        with self.world.lock:
+        with world.lock:
             if env is None:
                 try:
                     env = req._env = self._await_message_locked(
@@ -616,8 +620,8 @@ class Comm:
                 # match stays on the request and a later wait finishes it.
                 self._abandon_timeout(t_wait, deadline, "MPI_Wait(irecv)")
         self._clock.advance_to(completion)
-        self.world.tracer.record(
-            me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock.now,
+        world.tracer.record(
+            me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock._now,
             peer=env.source, cid=env.comm_cid, msg_id=env.seq,
         )
         self._tally[(env.source, None)][1] += env.nbytes
@@ -656,17 +660,14 @@ class Comm:
         """Block until a matching message is available (not consumed)."""
         world_src = self._check_source(source)
         tag = self._check_recv_tag(tag)
-        self._maybe_crash()
-        self._check_revoked("MPI_Probe")
+        if self.world.faults is not None or self.world.revoked_cids:
+            self._on_entry("MPI_Probe")
         me = self._world_rank
-        t0 = self._clock.now
-        what = (
-            f"MPI_Probe(source="
-            f"{source if source != ANY_SOURCE else 'ANY_SOURCE'}, tag="
-            f"{tag if tag != ANY_TAG else 'ANY_TAG'})"
-        )
+        t0 = self._clock._now
+        what = _describe("MPI_Probe", source, tag)
         with self.world.lock:
-            self.world.check_abort_locked()
+            if self.world.abort_exc is not None:
+                self.world.check_abort_locked()
             queues = self.world.queues[me]
             env = self.world.block(
                 me,
@@ -680,7 +681,7 @@ class Comm:
         if not env.rendezvous and env.arrival_time is not None:
             self._clock.advance_to(env.arrival_time)
         self.world.tracer.record(
-            me, "p2p", "MPI_Probe", env.nbytes, t0, self._clock.now, cid=self.cid
+            me, "p2p", "MPI_Probe", env.nbytes, t0, self._clock._now, cid=self.cid
         )
         out = status if status is not None else Status()
         self._fill_status(out, env)
@@ -698,16 +699,17 @@ class Comm:
         lets the sender run."""
         world_src = self._check_source(source)
         tag = self._check_recv_tag(tag)
-        self._check_revoked("MPI_Iprobe")
+        if self.world.revoked_cids:
+            self._check_revoked("MPI_Iprobe")
         me = self._world_rank
         with self.world.lock:
-            self.world.check_abort_locked()
+            if self.world.abort_exc is not None:
+                self.world.check_abort_locked()
             env = self.world.queues[me].peek_unexpected(world_src, tag, self.cid)
             if env is None:
                 self.world.yield_locked(me)
-        self.world.tracer.record(
-            me, "p2p", "MPI_Iprobe", 0, self._clock.now, self._clock.now
-        )
+        now = self._clock._now
+        self.world.tracer.record(me, "p2p", "MPI_Iprobe", 0, now, now)
         if env is None:
             return False
         if status is not None:
@@ -751,10 +753,10 @@ class Comm:
         spec = KINDS[kind]
         if spec.needs_op and op is None:
             raise SMPIError(f"{kind} requires a reduction op")
-        if not 0 <= root < self.size:
-            raise InvalidRankError(f"root={root} out of range for size {self.size}")
-        self._maybe_crash()
-        self._check_revoked(spec.primitive)
+        if not 0 <= root < self._size:
+            raise InvalidRankError(f"root={root} out of range for size {self._size}")
+        if self.world.faults is not None or self.world.revoked_cids:
+            self._on_entry(spec.primitive)
         me = self._world_rank
         t0 = self._clock.now
         san = self.world.sanitizer
@@ -768,7 +770,8 @@ class Comm:
                 else None,
             )
         with self.world.lock:
-            self.world.check_abort_locked()
+            if self.world.abort_exc is not None:
+                self.world.check_abort_locked()
             table = self.world.coll_table(self.cid)
             net = self.world.net_params(self.group)
             try:
@@ -867,7 +870,8 @@ class Comm:
         Only :meth:`shrink`, :meth:`agree` and the failure-ack calls
         remain usable afterwards.
         """
-        self._maybe_crash()
+        if self.world.faults is not None:
+            self._maybe_crash()
         me = self._world_rank
         first = self.world.revoke_cid(self.cid)
         now = self._clock.now
@@ -919,12 +923,14 @@ class Comm:
         """Join this rank's next shrink/agree call on the communicator and
         wait until every live member has joined; returns the finished
         context."""
-        self._maybe_crash()
+        world = self.world
+        if world.faults is not None:
+            self._maybe_crash()
         me = self._world_rank
         t0 = self._clock.now
-        world = self.world
         with world.lock:
-            world.check_abort_locked()
+            if world.abort_exc is not None:
+                world.check_abort_locked()
             _, ctx = world.ft_table(self.cid).context_for(self._rank, kind)
             ctx.join(self._rank, contribution, t0)
             world.block(
@@ -948,7 +954,8 @@ class Comm:
         failures and ``ANY_SOURCE`` semantics would treat them as
         excluded on a real ULFM MPI.
         """
-        self._maybe_crash()
+        if self.world.faults is not None:
+            self._maybe_crash()
         me = self._world_rank
         with self.world.lock:
             self._acked = frozenset(
@@ -1053,7 +1060,8 @@ class Comm:
         rank's current share of node memory bandwidth; ``seconds`` is a
         floor for fixed overheads.  Returns the charged duration.
         """
-        self._maybe_crash()
+        if self.world.faults is not None:
+            self._maybe_crash()
         model = self.world.compute_model(self._world_rank)
         dt_roofline = model.time(flops, nbytes) if (flops or nbytes) else 0.0
         duration = max(dt_roofline, seconds)
@@ -1149,6 +1157,15 @@ class Comm:
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = dt.SUM) -> None:
         result = self.allreduce(np.asarray(sendbuf), op=op)
         _copy_into_buffer(result, recvbuf)
+
+
+def _describe(primitive: str, source: int, tag: int) -> str:
+    """A receive or probe as blocked-rank and timeout texts name it,
+    e.g. ``MPI_Recv(source=ANY_SOURCE, tag=3)``."""
+    return (
+        f"{primitive}(source={source if source != ANY_SOURCE else 'ANY_SOURCE'}, "
+        f"tag={tag if tag != ANY_TAG else 'ANY_TAG'})"
+    )
 
 
 def _copy_into_buffer(obj: Any, buf: np.ndarray) -> None:

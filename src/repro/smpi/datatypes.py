@@ -131,6 +131,9 @@ def payload_nbytes(obj: Any) -> int:
     use their natural width; everything else falls back to pickle length
     (which is also how the object protocol of mpi4py moves data).
     """
+    cls = type(obj)
+    if cls is int or cls is float:  # the common scalar, before any isinstance
+        return 8
     if obj is None:
         return 0
     if isinstance(obj, np.ndarray):

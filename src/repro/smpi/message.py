@@ -146,31 +146,7 @@ class MatchingQueues:
         merged.sort(key=lambda pr: pr.seq)
         return merged
 
-    # -- internal helpers --------------------------------------------------
-
-    @staticmethod
-    def _key(env: Envelope) -> tuple[int, int, int]:
-        return (env.comm_cid, env.source, env.tag)
-
-    def _consume(self, env: Envelope) -> None:
-        """Remove ``env`` from its key deque (an O(1) pop when it is the
-        head, as it is for every receive) and from the arrival-order dict."""
-        key = self._key(env)
-        dq = self._unexpected_by_key[key]
-        if dq[0] is env:
-            dq.popleft()
-        else:
-            dq.remove(env)
-        if not dq:
-            del self._unexpected_by_key[key]
-        del self._arrivals[env.seq]
-
     # -- arriving messages -------------------------------------------------
-
-    def _enqueue_unexpected(self, env: Envelope) -> None:
-        self.stats["unexpected_enqueued"] += 1
-        self._unexpected_by_key.setdefault(self._key(env), deque()).append(env)
-        self._arrivals[env.seq] = env
 
     def match_arriving(self, env: Envelope) -> Optional[PostedRecv]:
         """Try to pair an arriving envelope with a posted receive.
@@ -182,24 +158,25 @@ class MatchingQueues:
         with the first accepting wildcard receive on ``seq`` (post
         order).  Held receives never match eagerly.
         """
-        key = self._key(env)
+        key = (env.comm_cid, env.source, env.tag)
         dq = self._posted_by_key.get(key)
-        exact = dq[0] if dq else None
         wild = None
-        for pr in self._posted_wild:
-            if not pr.hold and pr.accepts(env):
-                wild = pr
-                break
-        if exact is not None and (wild is None or exact.seq < wild.seq):
-            chosen = exact
-            dq.popleft()
+        if self._posted_wild:
+            for pr in self._posted_wild:
+                if not pr.hold and pr.accepts(env):
+                    wild = pr
+                    break
+        if dq and (wild is None or dq[0].seq < wild.seq):
+            chosen = dq.popleft()
             if not dq:
                 del self._posted_by_key[key]
         elif wild is not None:
             chosen = wild
             self._posted_wild.remove(wild)
         else:
-            self._enqueue_unexpected(env)
+            self.stats["unexpected_enqueued"] += 1
+            self._unexpected_by_key.setdefault(key, deque()).append(env)
+            self._arrivals[env.seq] = env
             return None
         chosen.envelope = env
         return chosen
@@ -238,16 +215,39 @@ class MatchingQueues:
 
     def take_unexpected(self, source: int, tag: int, comm_cid: int) -> Optional[Envelope]:
         """Remove and return the first matching unexpected envelope, the
-        one :meth:`peek_unexpected` finds."""
-        env = self.peek_unexpected(source, tag, comm_cid)
-        if env is not None:
-            self._consume(env)
+        one :meth:`peek_unexpected` finds.  An exact key pops its deque
+        head here; a wildcard goes through the peek's arrival-order scan."""
+        if source == ANY_SOURCE or tag == ANY_TAG:
+            env = self.peek_unexpected(source, tag, comm_cid)
+            if env is not None:
+                self.remove_unexpected(env)
+            return env
+        key = (comm_cid, source, tag)
+        dq = self._unexpected_by_key.get(key)
+        if not dq:
+            return None
+        self.stats["indexed_hits"] += 1
+        env = dq.popleft()
+        if not dq:
+            del self._unexpected_by_key[key]
+        del self._arrivals[env.seq]
         return env
 
     def remove_unexpected(self, env: Envelope) -> None:
-        """Remove one specific live envelope (the wildcard-hold resolver,
-        which picks among :meth:`first_matching_per_source` candidates)."""
-        self._consume(env)
+        """Remove one specific live envelope: a wildcard take, or the
+        wildcard-hold resolver's pick among
+        :meth:`first_matching_per_source` candidates.  Either is the head
+        of its key deque, so the removal is an O(1) pop; an exact take
+        pops its head inline in :meth:`take_unexpected`."""
+        key = (env.comm_cid, env.source, env.tag)
+        dq = self._unexpected_by_key[key]
+        if dq[0] is env:
+            dq.popleft()
+        else:
+            dq.remove(env)
+        if not dq:
+            del self._unexpected_by_key[key]
+        del self._arrivals[env.seq]
 
     def first_matching_per_source(
         self, source: int, tag: int, comm_cid: int
@@ -297,7 +297,8 @@ class MatchingQueues:
         """
         # Rare path: rebuild the arrival-order dict with ``env`` first.
         self._arrivals = {env.seq: env, **self._arrivals}
-        self._unexpected_by_key.setdefault(self._key(env), deque()).appendleft(env)
+        key = (env.comm_cid, env.source, env.tag)
+        self._unexpected_by_key.setdefault(key, deque()).appendleft(env)
 
     def purge_cid(self, cid: int) -> None:
         """Drop every unexpected envelope of a revoked communicator."""
@@ -306,4 +307,5 @@ class MatchingQueues:
         }
         self._unexpected_by_key = {}
         for env in self._arrivals.values():
-            self._unexpected_by_key.setdefault(self._key(env), deque()).append(env)
+            key = (env.comm_cid, env.source, env.tag)
+            self._unexpected_by_key.setdefault(key, deque()).append(env)

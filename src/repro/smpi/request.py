@@ -24,7 +24,10 @@ class Request:
     """Handle for an outstanding non-blocking send or receive.
 
     Instances are created by the communicator; user code only calls
-    :meth:`wait` and :meth:`test`.
+    :meth:`wait` and :meth:`test`.  The communicator reads and writes
+    the underscored fields directly: ``_env``/``_pr`` while the request
+    is pending, and :meth:`_finish` sets ``_payload`` and ``_status``
+    once, so ``_status`` is ``None`` until the request completes.
     """
 
     def __init__(self, comm: "Comm", kind: str):
@@ -32,7 +35,7 @@ class Request:
         self.kind = kind  # "isend" or "irecv"
         self._complete = False
         self._payload: Any = None
-        self._status = Status()
+        self._status: Optional[Status] = None
         #: the sent envelope (isend), or the matched one (irecv) once known
         self._env: Optional["Envelope"] = None
         #: an irecv's posted receive, while no message had matched it yet

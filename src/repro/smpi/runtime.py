@@ -169,11 +169,13 @@ class World:
         self.live: set[int] = set(range(nprocs))
         self.crashed: set[int] = set()
         self.blocked: dict[int, _BlockInfo] = {}
+        # The off-by-default hooks: an abort (``abort_exc``), the sanitizer
+        # (repro.sanitize), the fault injector (repro.faults) and revoked
+        # communicators.  Every hook site tests its hook where it is called
+        # (``is not None``, or ``revoked_cids`` non-empty) before making
+        # any call, so a plain run pays one attribute load per hook.
         self.abort_exc: Optional[BaseException] = None
         self.abort_origin: str = ""
-        # The sanitizer hook object (repro.sanitize).  None on the hot
-        # path: every hook site gates on ``world.sanitizer is not None``
-        # so a plain run pays a single attribute load, nothing more.
         self.sanitizer = sanitizer if sanitizer is not None else _active_sanitizer.get()
         #: rank -> held wildcard PostedRecv awaiting stall-time resolution
         self.wildcard_holds: dict[int, PostedRecv] = {}
@@ -240,13 +242,14 @@ class World:
 
     def ptp_net_time(self, src: int, dst: int, nbytes: int) -> float:
         """Transfer time of one ``nbytes`` message between world ranks."""
-        same = self.placement.same_node(src, dst)
-        return self.cluster.network.ptp_time(nbytes, same_node=same)
+        node = self.placement.node_of_rank
+        return self.cluster.network.ptp_time(nbytes, same_node=node[src] == node[dst])
 
     def ptp_overhead(self, src: int, dst: int) -> float:
         """Sender-side cost of injecting one message (the alpha term)."""
+        node = self.placement.node_of_rank
         net = self.cluster.network
-        return net.alpha_intra if self.placement.same_node(src, dst) else net.alpha_inter
+        return net.alpha_intra if node[src] == node[dst] else net.alpha_inter
 
     def net_params(self, group: Sequence[int]) -> NetParams:
         """Effective Hockney parameters for a collective over ``group``."""
@@ -338,7 +341,8 @@ class World:
         """
         info = _BlockInfo(description, can_proceed, deadline, failure, cid)
         while True:
-            self.check_abort_locked()
+            if self.abort_exc is not None:
+                self.check_abort_locked()
             result = take()
             if result is not None:
                 return result
@@ -352,7 +356,8 @@ class World:
                         # pointing back at ``exc`` is a reference cycle.
                         del exc
                 # An ERRORS_ARE_FATAL probe aborts the world in place.
-                self.check_abort_locked()
+                if self.abort_exc is not None:
+                    self.check_abort_locked()
             if cid is not None and cid in self.revoked_cids:
                 raise SmpiRevokedError(
                     f"{description}: communicator {cid} has been revoked"
@@ -747,6 +752,9 @@ def launch(
     world.publish_runtime_counters()
     if world.sanitizer is not None:
         world.sanitizer.on_world_finish(world, results, world.abort_exc)
+        # The sanitizer keeps the world for its analysis; dropping the
+        # link back leaves no cycle, so the world dies by refcount.
+        world.sanitizer = None
     if world.abort_exc is not None:
         if check:
             raise world.abort_exc

@@ -8,8 +8,9 @@ every finished world, with its tracer and queues, lives until the next
 GC pass, and a process that runs many worlds (the benchmark, the test
 suite) grows its peak memory.
 
-Sanitized runs are left out: the sanitizer and its world refer to each
-other by design.
+A sanitizer keeps its world for analysis after the run; the world lets
+go of the sanitizer when :func:`repro.smpi.launch` returns, so that
+link is one-way too.
 """
 
 import gc
@@ -21,6 +22,7 @@ from repro import smpi
 from repro.faults import FaultPlan
 from repro.obs import run_workload
 from repro.recovery import run_recoverable
+from repro.sanitize import Sanitizer
 
 
 @pytest.fixture
@@ -53,6 +55,15 @@ def _split_and_dup(comm):
     return total
 
 
+def _wildcard_fanin(comm):
+    """Rank 0 takes one message from every other rank with ANY_SOURCE:
+    a sanitized run holds each receive and resolves it at a stall."""
+    if comm.rank == 0:
+        return sorted(comm.recv(source=smpi.ANY_SOURCE) for _ in range(comm.size - 1))
+    comm.send(comm.rank, dest=0)
+    return None
+
+
 def _world_ref(run):
     """Run, keep only a weak reference to the world, drop the result."""
     out = run()
@@ -72,6 +83,11 @@ def _world_ref(run):
             id="faulted",
         ),
         pytest.param(lambda: smpi.launch(4, _split_and_dup), id="split-dup"),
+        pytest.param(lambda: smpi.launch(4, _ring, sanitizer=Sanitizer()), id="sanitized"),
+        pytest.param(
+            lambda: smpi.launch(4, _wildcard_fanin, sanitizer=Sanitizer(match_order="last")),
+            id="sanitized-race-replay",
+        ),
         pytest.param(
             lambda: run_recoverable(
                 "kmeans", FaultPlan(seed=7).crash(3, at_time=2.5e-5), nprocs=4

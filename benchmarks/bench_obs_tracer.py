@@ -1,11 +1,13 @@
 """Obs — the tracer's record path and its summary folded on read.
 
 Tracing is on by default, so ``Tracer.record`` is on every message's
-path: it is one tuple construction and one ``list.append``, with no lock
-and no aggregation.  ``Tracer.summary()`` pays instead: each call folds
-the events appended since the previous read into a running aggregate,
-so repeated reads (progress displays, adaptive benchmarks) stay O(1)
-amortised and never rescan the list.  This benchmark measures both
+path: it is one ``list.extend`` of the event's fields onto a flat list,
+with no lock, no aggregation and no per-event object left alive.
+Readers pay instead: the first read builds the ``TraceEvent`` tuples of
+the events recorded since the previous read, and ``Tracer.summary()``
+folds them into a running aggregate, so repeated reads (progress
+displays, adaptive benchmarks) stay O(1) amortised and never rescan the
+list.  This benchmark measures both
 sides of that trade on a large trace, plus the full recompute the
 running aggregate avoids.
 """
@@ -57,8 +59,8 @@ def test_summary_matches_full_recompute(benchmark, big_tracer):
 
 
 def test_record_overhead(benchmark):
-    """Per-event record cost: one tuple and one append, no summary work.
-    The first read afterwards folds the whole batch."""
+    """Per-event record cost: one flat ``list.extend``, no summary work.
+    The first read afterwards builds and folds the whole batch."""
     tracer = Tracer()
 
     def record_batch():

@@ -43,7 +43,7 @@ def memory_bound_fraction(result: RunResult, rank: int = 0) -> float:
     too leave the cores idle.
     """
     world_rank = _world_rank(result, rank)
-    events = [e for e in result.tracer.events_for(world_rank)]
+    events = result.tracer.events_for(world_rank)
     if not events:
         raise ValidationError("no trace events — was tracing enabled?")
     bandwidth = result.world.arbiter.bandwidth_share(world_rank)

@@ -582,7 +582,7 @@ class Comm:
                 world.tracer.record(
                     me, "p2p", "MPI_Wait", env.nbytes, t_wait, t_wait, cid=self.cid
                 )
-                req._finish(None, Status(source=self._rank, tag=env.tag, nbytes=env.nbytes))
+                req._finish(None, self._rank)
                 return
             with world.lock:
                 try:
@@ -602,7 +602,7 @@ class Comm:
                 me, "p2p", "MPI_Wait", env.nbytes, t_wait, self._clock._now,
                 peer=env.dest, cid=env.comm_cid, msg_id=env.seq,
             )
-            req._finish(None, Status(tag=env.tag, nbytes=env.nbytes))
+            req._finish(None, ANY_SOURCE)
             return
         # irecv
         with world.lock:
@@ -625,13 +625,11 @@ class Comm:
             peer=env.source, cid=env.comm_cid, msg_id=env.seq,
         )
         self._tally[(env.source, None)][1] += env.nbytes
-        status = Status()
-        self._fill_status(status, env)
         payload = env.payload
         if req._recv_buffer is not None:
             _copy_into_buffer(payload, req._recv_buffer)
             payload = req._recv_buffer
-        req._finish(payload, status)
+        req._finish(payload, self._inverse.get(env.source, env.source))
 
     def _test_request(self, req: Request) -> None:
         """Complete ``req`` if it can complete now; otherwise yield the

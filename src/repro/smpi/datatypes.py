@@ -90,7 +90,7 @@ MAXLOC = Op("MAXLOC", _loc_op(lambda x, y: x > y))
 ALL_OPS = (SUM, PROD, MIN, MAX, LAND, LOR, BAND, BOR, BXOR, MINLOC, MAXLOC)
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Receive status (``MPI_Status``): actual source, tag and size."""
 

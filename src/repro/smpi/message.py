@@ -41,7 +41,7 @@ from typing import Any, Optional
 from repro.smpi.datatypes import ANY_SOURCE, ANY_TAG
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One in-flight message (world-rank addressing).
 
@@ -77,7 +77,7 @@ class Envelope:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """A posted (possibly non-blocking) receive awaiting a match.
 

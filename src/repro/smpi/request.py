@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SMPIError
-from repro.smpi.datatypes import Status
+from repro.smpi.datatypes import ANY_SOURCE, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -26,16 +26,23 @@ class Request:
     Instances are created by the communicator; user code only calls
     :meth:`wait` and :meth:`test`.  The communicator reads and writes
     the underscored fields directly: ``_env``/``_pr`` while the request
-    is pending, and :meth:`_finish` sets ``_payload`` and ``_status``
-    once, so ``_status`` is ``None`` until the request completes.
+    is pending, and :meth:`_finish` sets ``_payload`` and ``_source``
+    once.  A completed request holds no ``Status``: :meth:`wait` and
+    :meth:`test` fill the caller's from ``_source`` and the envelope's
+    tag and size.
     """
+
+    __slots__ = ("_comm", "kind", "_complete", "_payload", "_source", "_env", "_pr",
+                 "_recv_buffer")
 
     def __init__(self, comm: "Comm", kind: str):
         self._comm = comm
         self.kind = kind  # "isend" or "irecv"
         self._complete = False
         self._payload: Any = None
-        self._status: Optional[Status] = None
+        #: the status source once complete: the sender's comm rank for an
+        #: irecv or an eager isend, ``ANY_SOURCE`` for a rendezvous isend
+        self._source = ANY_SOURCE
         #: the sent envelope (isend), or the matched one (irecv) once known
         self._env: Optional["Envelope"] = None
         #: an irecv's posted receive, while no message had matched it yet
@@ -47,15 +54,21 @@ class Request:
     def completed(self) -> bool:
         return self._complete
 
-    def _finish(self, payload: Any, status: Status) -> None:
+    def _finish(self, payload: Any, source: int) -> None:
         self._complete = True
         self._payload = payload
-        self._status = status
+        self._source = source
         # Every request completion funnels through here — the one hook
         # site the sanitizer needs for leak and buffer-safety tracking.
         san = self._comm.world.sanitizer
         if san is not None:
             san.on_request_done(self)
+
+    def _fill(self, status: Status) -> None:
+        env = self._env
+        status.source = self._source
+        status.tag = env.tag
+        status.nbytes = env.nbytes
 
     def wait(self, status: Optional[Status] = None, timeout: Optional[float] = None) -> Any:
         """Block until complete; returns the received object for
@@ -68,9 +81,7 @@ class Request:
         if not self._complete:
             self._comm._wait_request(self, timeout=timeout)
         if status is not None:
-            status.source = self._status.source
-            status.tag = self._status.tag
-            status.nbytes = self._status.nbytes
+            self._fill(status)
         return self._payload
 
     def test(self, status: Optional[Status] = None) -> tuple[bool, Any]:
@@ -78,9 +89,7 @@ class Request:
         if not self._complete:
             self._comm._test_request(self)
         if self._complete and status is not None:
-            status.source = self._status.source
-            status.tag = self._status.tag
-            status.nbytes = self._status.nbytes
+            self._fill(status)
         return (self._complete, self._payload if self._complete else None)
 
     # mpi4py-style aliases

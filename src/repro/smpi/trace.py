@@ -19,18 +19,26 @@ linking the two ends of each matched message, from which the Chrome-trace
 exporter draws flow arrows and the wait-state/critical-path analyses
 rebuild the dependency graph.
 
-Tracing is on by default, so :meth:`Tracer.record` is one tuple and one
-``list.append`` (atomic under the GIL): no lock, no aggregation.  The
-whole-trace :meth:`Tracer.summary` is folded *on read*, adding the
-events appended since the last read in list order — O(1) amortised, and
-bit-identical to an eager fold.  Per-rank summaries rescan the events.
+Tracing is on by default, so :meth:`Tracer.record` is on every message's
+path.  It appends the event's nine fields to one flat list with a single
+``list.extend`` (atomic under the GIL): no lock, no aggregation, and no
+per-event object left for the garbage collector to scan — the argument
+tuple is freed at once, and ints, floats and strs are not tracked.
+Readers build the :class:`TraceEvent` tuples *on read*, once per event
+and in record order: the unread tail moves from the flat list into the
+built list, so each event is held only once.  The whole-trace
+:meth:`Tracer.summary` folds the events built since the last read in
+list order — O(1) amortised, and bit-identical to an eager fold.
+Per-rank reads scan the built events.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Optional
+from functools import partial
+from itertools import islice
+from typing import NamedTuple, Optional
 
 
 class TraceEvent(NamedTuple):
@@ -113,13 +121,24 @@ class TraceSummary:
         return replace(self, primitive_counts=dict(self.primitive_counts))
 
 
+#: fields per event in :attr:`Tracer._flat`
+_FIELDS = len(TraceEvent._fields)
+#: builds one event from a tuple of its fields, without a Python-level call
+_event = partial(tuple.__new__, TraceEvent)
+
+
 class Tracer:
     """Event recorder shared by all ranks of a world: ranks append
-    lock-free, readers fold the new tail into the summary under ``_lock``."""
+    lock-free, readers build the new tail under ``_tail_lock`` and fold
+    it into the running summary under ``_lock``."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: fields of the events no reader has built yet, ``_FIELDS`` per event
+        self._flat: list = []
+        #: the events built so far, in record order
         self._events: list[TraceEvent] = []
+        self._tail_lock = threading.Lock()
         self._lock = threading.Lock()
         self._summary = TraceSummary()
         self._folded = 0  # events already in ``_summary``
@@ -127,29 +146,45 @@ class Tracer:
     def record(self, rank: int, category: str, primitive: str, nbytes: int,
                t_start: float, t_end: float, peer: int = -1, cid: int = -1,
                msg_id: int = -1) -> None:
-        if self.enabled:  # tuple.__new__ skips the NamedTuple's Python-level __new__
-            self._events.append(tuple.__new__(TraceEvent, (
-                rank, category, primitive, nbytes, t_start, t_end, peer, cid, msg_id)))
+        if self.enabled:
+            self._flat.extend(
+                (rank, category, primitive, nbytes, t_start, t_end, peer, cid, msg_id))
+
+    def _built(self) -> list[TraceEvent]:
+        """Every event so far, after moving the unread tail into the
+        built list (holding ``_tail_lock``).  A record racing this read
+        lands after the ``n`` fields taken, so it waits for the next read."""
+        flat = self._flat
+        n = len(flat)
+        if n:
+            self._events.extend(map(_event, zip(*[islice(flat, n)] * _FIELDS)))
+            del flat[:n]
+        return self._events
 
     @property
     def events(self) -> list[TraceEvent]:
-        return self._events.copy()
+        with self._tail_lock:
+            return self._built().copy()
 
     def __len__(self) -> int:
-        return len(self._events)
+        with self._tail_lock:
+            return len(self._events) + len(self._flat) // _FIELDS
 
     def clear(self) -> None:
-        with self._lock:
+        with self._lock, self._tail_lock:
+            self._flat.clear()
             self._events.clear()
             self._summary = TraceSummary()
             self._folded = 0
 
     def _fold(self) -> TraceSummary:
         """Fold the events recorded since the last read in (holding ``_lock``)."""
-        tail = self._events[self._folded:]
-        for e in tail:
+        with self._tail_lock:
+            events = self._built()
+            n = len(events)
+        for e in islice(events, self._folded, n):
             self._summary._add(e)
-        self._folded += len(tail)
+        self._folded = n
         return self._summary
 
     def primitives_used(self, rank: Optional[int] = None) -> set[str]:
@@ -164,7 +199,7 @@ class Tracer:
 
         The whole-trace summary is O(1) amortised: a copy of the running
         aggregate after folding in the events recorded since the last
-        read.  Per-rank summaries walk the event list.
+        read.  Per-rank summaries walk that rank's events.
         """
         if rank is None:
             with self._lock:
@@ -174,5 +209,7 @@ class Tracer:
             out._add(e)
         return out
 
-    def events_for(self, rank: int) -> Iterable[TraceEvent]:
-        return (e for e in self.events if e.rank == rank)
+    def events_for(self, rank: int) -> list[TraceEvent]:
+        """One rank's events, in record order."""
+        with self._tail_lock:
+            return [e for e in self._built() if e.rank == rank]

@@ -12,14 +12,16 @@ The budget, per operation, counting the test's own ``lambda``:
 =========================  ======  ======
 operation                  before  budget
 =========================  ======  ======
-eager self-``sendrecv``        59      32
-``isend(...).wait()``          39      23
+eager self-``sendrecv``        59      31
+``isend(...).wait()``          39      22
 exact ``recv`` (queued)        20       9
 =========================  ======  ======
 
 "Before" is the path with every hook tested inside its helper, the clock
 and communicator size read through properties and the matching queues
-split into key/enqueue/peek/consume helpers.  A change that has to add a
+split into key/enqueue/peek/consume helpers.  The ``sendrecv`` and
+``isend(...).wait()`` budgets fell by one more call each when a
+completed request stopped building a ``Status``.  A change that has to add a
 call to the path raises the budget here, on purpose.
 """
 
@@ -27,7 +29,7 @@ import sys
 
 from repro import smpi
 
-BUDGET = {"sendrecv": 32, "isend_wait": 23, "recv": 9}
+BUDGET = {"sendrecv": 31, "isend_wait": 22, "recv": 9}
 
 
 def _calls(op):

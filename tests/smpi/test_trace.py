@@ -317,3 +317,79 @@ def test_record_takes_no_lock_and_does_no_summary_work(monkeypatch):
     tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
     assert len(tracer) == 2
     assert tracer.events[0] == TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0)
+
+
+# -- events stored flat, built on read ----------------------------------------
+
+
+def _assert_matches_recompute(tracer, recorded):
+    """Every reader agrees, bit for bit, with a recompute over ``recorded``."""
+    expected = [TraceEvent(*rec) for rec in recorded]
+    assert len(tracer) == len(expected)
+    assert tracer.events == expected
+    whole = TraceSummary()
+    for e in expected:
+        whole._add(e)
+    assert tracer.summary() == whole  # dataclass ==: float sums compared exactly
+    assert tracer.primitives_used() == set(whole.primitive_counts)
+    for rank in range(4):
+        mine = [e for e in expected if e.rank == rank]
+        assert tracer.events_for(rank) == mine
+        alone = TraceSummary()
+        for e in mine:
+            alone._add(e)
+        assert tracer.summary(rank) == alone
+
+
+_steps = st.lists(
+    st.one_of(
+        _records.map(lambda recs: ("record", recs)),
+        st.just(("read", None)),
+        st.just(("clear", None)),
+    ),
+    max_size=12,
+)
+
+
+#: record -> read -> record -> read -> clear() -> record, before the drawn steps
+_FIXED_STEPS = [
+    ("record", [(0, "p2p", "MPI_Send", 8, 0.0, 0.1)]), ("read", None),
+    ("record", [(1, "compute", "compute", 0, 0.1, 0.3)]), ("read", None),
+    ("clear", None), ("record", [(2, "p2p", "MPI_Recv", 8, 0.2, 0.4)]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_steps)
+def test_readers_match_a_full_recompute_between_records_and_clears(steps):
+    """Reads build each event once, in record order: interleaving
+    records, reads and ``clear()`` never changes what a reader sees."""
+    tracer = Tracer()
+    recorded = []
+    for op, recs in [*_FIXED_STEPS, *steps, ("read", None)]:
+        if op == "record":
+            for rec in recs:
+                tracer.record(*rec)
+            recorded += recs
+        elif op == "clear":
+            tracer.clear()
+            recorded = []
+        else:
+            _assert_matches_recompute(tracer, recorded)
+
+
+def test_record_takes_neither_lock():
+    class NoLock:
+        def __enter__(self):
+            raise AssertionError("record took a tracer lock")
+
+    tracer = Tracer()
+    tracer._lock = tracer._tail_lock = NoLock()
+    tracer.record(0, "p2p", "MPI_Send", 8, 0.0, 1.0, peer=1, cid=0, msg_id=0)
+    tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
+    tracer._lock = threading.Lock()
+    tracer._tail_lock = threading.Lock()
+    assert tracer.events == [
+        TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0),
+        TraceEvent(1, "compute", "compute", 0, 0.0, 2.0),
+    ]

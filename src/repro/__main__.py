@@ -28,6 +28,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: the most ranks ``-n/--nprocs`` may ask for, checked before any world
+#: is built.  Each rank is an OS thread with its own baton and queues, so
+#: a huge ``-n`` would build for as long as memory lasts and then try to
+#: start that many threads; 1,024 is far above the 64 ranks the tests,
+#: docs and benchmarks use.
+MAX_NPROCS = 1024
+
 
 def _cmd_list(_args) -> int:
     from repro.harness import EXPERIMENTS
@@ -367,7 +374,8 @@ def main(argv=None) -> int:
         "--list", action="store_true", help="list the available workloads"
     )
     workload_opts.add_argument(
-        "-n", "--nprocs", type=int, default=None, help="number of simulated ranks"
+        "-n", "--nprocs", type=int, default=None,
+        help=f"number of simulated ranks (at most {MAX_NPROCS})",
     )
     workload_opts.add_argument(
         "-p", "--param", action="append", metavar="KEY=VALUE",
@@ -461,9 +469,11 @@ def main(argv=None) -> int:
     )
     sanitize_parser.set_defaults(fn=_cmd_sanitize)
     args = parser.parse_args(argv)
-    from repro.errors import ReproError
+    from repro.errors import ReproError, ValidationError
 
     try:
+        if (getattr(args, "nprocs", None) or 0) > MAX_NPROCS:
+            raise ValidationError(f"-n/--nprocs must be at most {MAX_NPROCS}, got {args.nprocs}")
         return args.fn(args)
     except ReproError as exc:
         # Bad input (an unknown experiment or workload, a bad parameter)

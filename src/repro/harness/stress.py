@@ -18,8 +18,9 @@ they run identically on any runtime implementation:
 * :func:`p2p_storm` / :func:`fanin_storm` — tight communication loops
   that measure nothing but runtime overhead (messages matched and ranks
   woken per real second), one latency-bound and one matching-bound.
-  ``benchmarks/bench_runtime_fastpath.py`` runs them at 2/8/32/64 ranks
-  to produce ``BENCH_runtime.json``.
+  ``perfbench/`` times them at 32 ranks as its ``ring`` and ``fanin``
+  workloads, and ``benchmarks/perf_gate.py`` gates a change's wall time
+  on them against its parent commit's.
 
 :func:`stress_digest` turns a finished run into one
 :func:`~repro.recovery.checkpoint.state_digest` string covering results,

@@ -68,6 +68,11 @@ BAD_PLANS = {
         (["faults", "ring", "-n", "4", "--plan", "delay_dst4.toml"], 2),
         (["recover", "kmeans", "--plan", "crash99.toml"], 2),
         (["sanitize", "ring", "-n", "4", "--plan", "crash99.toml"], 3),
+        # more ranks than MAX_NPROCS
+        (["trace", "ring", "-n", "1025"], 2),
+        (["faults", "ring", "-n", "1025"], 2),
+        (["recover", "kmeans", "-n", "1025"], 2),
+        (["sanitize", "ring", "-n", "1025"], 3),
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(argv, code, capsys, tmp_path, monkeypatch):
@@ -79,6 +84,21 @@ def test_bad_input_is_a_one_line_usage_error(argv, code, capsys, tmp_path, monke
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Traceback" not in captured.out
+
+
+def test_nprocs_above_the_bound_builds_no_world(monkeypatch, capsys):
+    """``-n`` is checked against MAX_NPROCS before a World is built, so a
+    huge value fails at once instead of building that many ranks."""
+    from repro.__main__ import MAX_NPROCS
+    from repro.smpi import runtime
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a World was built")
+
+    monkeypatch.setattr(runtime.World, "__init__", refuse)
+    assert main(["trace", "ring", "-n", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: -n/--nprocs must be at most {MAX_NPROCS}, got 100000000\n"
 
 
 def test_faults_waits_runs_the_workload_once(monkeypatch, capsys):

@@ -5,11 +5,9 @@ path: it is one ``list.extend`` of the event's fields onto a flat list,
 with no lock, no aggregation and no per-event object left alive.
 Readers pay instead: the first read builds the ``TraceEvent`` tuples of
 the events recorded since the previous read, and ``Tracer.summary()``
-folds them into a running aggregate, so repeated reads (progress
-displays, adaptive benchmarks) stay O(1) amortised and never rescan the
-list.  This benchmark measures both
-sides of that trade on a large trace, plus the full recompute the
-running aggregate avoids.
+folds every event when asked — a finished world is summarised once, so
+no running aggregate is kept.  This benchmark measures both sides of
+that trade on a large trace, plus the same fold written out by hand.
 """
 
 import pytest
@@ -35,15 +33,15 @@ def big_tracer():
 
 
 def test_summary_hot_path(benchmark, big_tracer):
-    """Whole-trace summary after the first read: nothing new to fold, so
-    each call is an O(1) copy of the running aggregate."""
+    """Whole-trace summary after the first read: the events are built,
+    so each call is one full fold over them in record order."""
     s = benchmark(big_tracer.summary)
     assert s.messages_sent == sum(1 for i in range(N_EVENTS) if i % 3)
     assert s.primitive_counts["MPI_Send"] == s.messages_sent
 
 
 def test_summary_matches_full_recompute(benchmark, big_tracer):
-    """The full rescan the running aggregate avoids (for scale)."""
+    """The same fold over ``Tracer.events``, written out by hand."""
 
     def recompute():
         out = TraceSummary()

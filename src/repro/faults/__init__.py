@@ -25,6 +25,8 @@ deadlines on ``recv``/``wait`` raising
 classifies a workload run as survived / degraded / aborted, and
 :func:`fault_report` classifies a run already made (the ``repro
 faults`` CLI, which renders that same run's timeline for ``--waits``).
+It is the one classifier: :func:`repro.recovery.run_with_recovery`
+derives its report from it and only adds ``recovered``.
 """
 
 from repro.faults.plan import (

@@ -82,6 +82,9 @@ class FaultRunReport:
 
     def lines(self) -> list[str]:
         """Render for the CLI."""
+        return self._head_lines() + self._tail_lines()
+
+    def _head_lines(self) -> list[str]:
         out = [
             f"workload:  {self.workload} (np={self.nprocs})",
             f"outcome:   {self.outcome}",
@@ -96,8 +99,10 @@ class FaultRunReport:
             out.append("faults:    none injected")
         if self.crashed_ranks:
             out.append(f"crashed:   ranks {list(self.crashed_ranks)}")
-        if self.error is not None:
-            out.append(f"error:     {self.error}")
+        return out
+
+    def _tail_lines(self) -> list[str]:
+        out = [] if self.error is None else [f"error:     {self.error}"]
         out.append(f"trace:     sha256:{self.digest[:16]}…")
         return out
 
@@ -132,11 +137,8 @@ def fault_report(name: str, out: "RunResult") -> FaultRunReport:
     if out.error is not None:
         outcome = "aborted"
         error = f"{type(out.error).__name__}: {out.error}"
-    elif fault_events:
-        outcome = "degraded"
-        error = None
     else:
-        outcome = "survived"
+        outcome = "degraded" if fault_events else "survived"
         error = None
     return FaultRunReport(
         workload=name,

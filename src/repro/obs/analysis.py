@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import ValidationError
 from repro.smpi.trace import SEND_PRIMITIVES, TraceEvent, Tracer
@@ -47,7 +47,13 @@ _RECV_PRIMITIVES = frozenset({"MPI_Recv", "MPI_Wait"})
 
 
 def _event_list(trace: Union[Tracer, Iterable[TraceEvent]]) -> list[TraceEvent]:
-    events = trace.events if isinstance(trace, Tracer) else list(trace)
+    """The events to analyse; a list is read as is (no pass mutates it)."""
+    if isinstance(trace, Tracer):
+        events = trace.events
+    elif isinstance(trace, list):
+        events = trace
+    else:
+        events = list(trace)
     if not events:
         raise ValidationError("trace is empty — was tracing enabled?")
     return events
@@ -156,21 +162,22 @@ class WaitStateReport:
         return out
 
 
-def _collective_calls(
-    events: list[TraceEvent],
+def _rendezvous_calls(
+    events: list[TraceEvent], joins: Callable[[TraceEvent], bool]
 ) -> list[list[TraceEvent]]:
-    """Group collective events into per-call groups.
+    """Group the rendezvous events that ``joins`` selects into per-call
+    groups.
 
-    Collective calls on one communicator are totally ordered per rank, so
-    the *k*-th collective event a rank records on communicator ``cid``
-    belongs to the communicator's *k*-th collective call.  Grouping by
-    ``(cid, k)`` therefore distinguishes overlapping collectives on
-    different communicators — the reason collective events record their
+    Rendezvous calls on one communicator are totally ordered per rank,
+    so the *k*-th such event a rank records on communicator ``cid``
+    belongs to the communicator's *k*-th call.  Grouping by ``(cid, k)``
+    therefore distinguishes overlapping calls on different communicators
+    — the reason collective and shrink/agree events record their
     ``cid``.
     """
     per_rank: dict[tuple[int, int], list[TraceEvent]] = defaultdict(list)
     for e in events:
-        if e.category == "collective":
+        if joins(e):
             per_rank[(e.cid, e.rank)].append(e)
     calls: dict[tuple[int, int], list[TraceEvent]] = defaultdict(list)
     for (cid, _rank), seq in per_rank.items():
@@ -178,27 +185,18 @@ def _collective_calls(
         for k, e in enumerate(seq):
             calls[(cid, k)].append(e)
     return [group for _key, group in sorted(calls.items())]
+
+
+def _is_collective(e: TraceEvent) -> bool:
+    return e.category == "collective"
 
 
 #: recovery primitives that rendezvous like collectives (over survivors)
 _RECOVERY_SYNC_PRIMITIVES = frozenset({"MPIX_Comm_shrink", "MPIX_Comm_agree"})
 
 
-def _recovery_calls(events: list[TraceEvent]) -> list[list[TraceEvent]]:
-    """Group shrink/agree events into per-call groups, like
-    :func:`_collective_calls` — the *k*-th survival rendezvous a rank
-    records on a communicator belongs to that communicator's *k*-th
-    shrink/agree call."""
-    per_rank: dict[tuple[int, int], list[TraceEvent]] = defaultdict(list)
-    for e in events:
-        if e.category == "recovery" and e.primitive in _RECOVERY_SYNC_PRIMITIVES:
-            per_rank[(e.cid, e.rank)].append(e)
-    calls: dict[tuple[int, int], list[TraceEvent]] = defaultdict(list)
-    for (cid, _rank), seq in per_rank.items():
-        seq.sort(key=lambda e: (e.t_start, e.t_end))
-        for k, e in enumerate(seq):
-            calls[(cid, k)].append(e)
-    return [group for _key, group in sorted(calls.items())]
+def _is_recovery_sync(e: TraceEvent) -> bool:
+    return e.category == "recovery" and e.primitive in _RECOVERY_SYNC_PRIMITIVES
 
 
 def analyze_wait_states(
@@ -266,35 +264,24 @@ def analyze_wait_states(
                     t_start=blk.t_start, t_end=wait_end, cid=blk.cid,
                 )
             )
-    # Collective synchronization: time from a rank's entry to the last
-    # rank's entry is pure waiting.
-    for group in _collective_calls(events):
-        start = max(e.t_start for e in group)
-        for e in group:
-            if start > e.t_start + _EPS:
-                report.intervals.append(
-                    WaitInterval(
-                        rank=e.rank, kind="collective_sync",
-                        primitive=e.primitive, peer=-1,
-                        t_start=e.t_start, t_end=min(start, e.t_end),
-                        cid=e.cid,
+    # Rendezvous synchronization: time from a rank's entry to the last
+    # rank's entry is pure waiting.  Shrink/agree rendezvous over the
+    # survivors are the waiting cost of recovering, so they get their
+    # own pattern.
+    for kind, joins in (("collective_sync", _is_collective),
+                        ("recovery_sync", _is_recovery_sync)):
+        for group in _rendezvous_calls(events, joins):
+            start = max(e.t_start for e in group)
+            for e in group:
+                if start > e.t_start + _EPS:
+                    report.intervals.append(
+                        WaitInterval(
+                            rank=e.rank, kind=kind,
+                            primitive=e.primitive, peer=-1,
+                            t_start=e.t_start, t_end=min(start, e.t_end),
+                            cid=e.cid,
+                        )
                     )
-                )
-    # Recovery synchronization: shrink/agree rendezvous over the
-    # survivors — a rank's span from entry to the last survivor's entry
-    # is the waiting cost of recovering, attributed to its own pattern.
-    for group in _recovery_calls(events):
-        start = max(e.t_start for e in group)
-        for e in group:
-            if start > e.t_start + _EPS:
-                report.intervals.append(
-                    WaitInterval(
-                        rank=e.rank, kind="recovery_sync",
-                        primitive=e.primitive, peer=-1,
-                        t_start=e.t_start, t_end=min(start, e.t_end),
-                        cid=e.cid,
-                    )
-                )
     report.intervals.sort(key=lambda w: (w.t_start, w.rank))
     return report
 
@@ -372,7 +359,7 @@ def critical_path(trace: Union[Tracer, Iterable[TraceEvent]]) -> CriticalPath:
             if prior is not None:
                 recv_dep[id(m.send_block)].append(prior)
     coll_dep: dict[int, list[TraceEvent]] = {}
-    for group in _collective_calls(events):
+    for group in _rendezvous_calls(events, _is_collective):
         deps = [p for e in group if (p := rank_prev.get(id(e))) is not None]
         for e in group:
             coll_dep[id(e)] = deps

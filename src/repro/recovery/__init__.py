@@ -8,8 +8,10 @@ Module 8, part 2.  :mod:`repro.faults` makes the simulated cluster
   outlives rank crashes, plus rollback-cost accounting;
 * :func:`run_with_recovery` — the catch → revoke → shrink → agree
   harness that re-executes a recoverable body on the shrunken
-  communicator and classifies the run as survived / recovered /
-  degraded / aborted;
+  communicator; its :class:`RecoveryReport` is
+  :func:`repro.faults.fault_report`'s verdict (survived / degraded /
+  aborted), raised to ``recovered`` when the run finished after a
+  shrink, plus the recovery counters;
 * :data:`~repro.recovery.workloads.RECOVERABLE` — the named recoverable
   module workloads behind the ``repro recover`` CLI.
 

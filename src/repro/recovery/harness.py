@@ -19,14 +19,18 @@ The recovery protocol around the body is the canonical ULFM loop::
         comm.agree(True)       # consensus: everyone is here, go again
 
 Outcomes extend the ``repro.faults`` triple with ``recovered``:
-completed *after* at least one shrink.  ``degraded`` now means faults
-fired but no recovery was needed; ``aborted`` still means the world
-died (e.g. the failure budget ``max_recoveries`` was exhausted).
+completed *after* at least one shrink.  The report starts from
+:func:`repro.faults.fault_report`'s verdict and raises it to
+``recovered`` when the run was not aborted and shrank, so ``degraded``
+now means faults fired but no recovery was needed, and ``aborted``
+still means the world died (e.g. the failure budget
+``max_recoveries`` was exhausted).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro import smpi
@@ -37,60 +41,37 @@ from repro.errors import (
     _RankSelfCrash,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.runner import trace_digest
+from repro.faults.runner import FaultRunReport, fault_report
 from repro.recovery.checkpoint import CheckpointStore
 
 RECOVERY_OUTCOMES = ("survived", "recovered", "degraded", "aborted")
 
 
 @dataclass
-class RecoveryReport:
-    """Everything ``repro recover`` reports about one recovery drill."""
+class RecoveryReport(FaultRunReport):
+    """Everything ``repro recover`` reports about one recovery drill:
+    the :class:`~repro.faults.FaultRunReport` of the run, with
+    ``outcome`` one of :data:`RECOVERY_OUTCOMES`, plus the recovery
+    counters.  ``revokes`` and ``shrinks`` count per-rank calls, so one
+    recovery on three survivors reads ``revokes=3 shrinks=3``."""
 
-    workload: str
-    nprocs: int
-    outcome: str  # one of RECOVERY_OUTCOMES
-    makespan: float
-    digest: str
-    error: Optional[str] = None
-    fault_events: dict[str, int] = field(default_factory=dict)
-    crashed_ranks: tuple[int, ...] = ()
     revokes: int = 0
     shrinks: int = 0
     rollbacks: int = 0
     checkpoints: int = 0
     rollback_time: float = 0.0
     lineage: str = ""
-    result: Any = None
 
     def lines(self) -> list[str]:
         """Render for the CLI (matches the ``repro faults`` style)."""
-        out = [
-            f"workload:  {self.workload} (np={self.nprocs})",
-            f"outcome:   {self.outcome}",
-            f"makespan:  {self.makespan:.6g} virtual s",
-        ]
-        if self.fault_events:
-            injected = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.fault_events.items())
-            )
-            out.append(f"faults:    {injected}")
-        else:
-            out.append("faults:    none injected")
-        if self.crashed_ranks:
-            out.append(f"crashed:   ranks {list(self.crashed_ranks)}")
-        out.append(
+        return [
+            *self._head_lines(),
             f"recovery:  revokes={self.revokes} shrinks={self.shrinks} "
-            f"rollbacks={self.rollbacks} checkpoints={self.checkpoints}"
-        )
-        out.append(
-            f"rollback:  {self.rollback_time:.6g} virtual s of lost work"
-        )
-        if self.error is not None:
-            out.append(f"error:     {self.error}")
-        out.append(f"trace:     sha256:{self.digest[:16]}…")
-        out.append(f"lineage:   blake2b:{self.lineage[:16]}…")
-        return out
+            f"rollbacks={self.rollbacks} checkpoints={self.checkpoints}",
+            f"rollback:  {self.rollback_time:.6g} virtual s of lost work",
+            *self._tail_lines(),
+            f"lineage:   blake2b:{self.lineage[:16]}…",
+        ]
 
 
 @dataclass
@@ -161,46 +142,18 @@ def run_with_recovery(
         faults=faults,
         check=False,
     )
-    world = out.world
-    events = world.tracer.events
-    fault_events: dict[str, int] = {}
-    revokes = 0
-    shrinks = 0
-    for e in events:
-        if e.category == "fault":
-            fault_events[e.primitive] = fault_events.get(e.primitive, 0) + 1
-        elif e.category == "recovery":
-            if e.primitive == "MPIX_Comm_revoke":
-                revokes += 1
-            elif e.primitive == "MPIX_Comm_shrink":
-                shrinks += 1
-    if out.error is not None:
-        outcome = "aborted"
-        error = f"{type(out.error).__name__}: {out.error}"
-    elif shrinks > 0:
-        outcome = "recovered"
-        error = None
-    elif fault_events:
-        outcome = "degraded"
-        error = None
-    else:
-        outcome = "survived"
-        error = None
+    calls = Counter(
+        e.primitive for e in out.world.tracer.events if e.category == "recovery"
+    )
     report = RecoveryReport(
-        workload=name,
-        nprocs=nprocs,
-        outcome=outcome,
-        makespan=world.elapsed(),
-        digest=trace_digest(events, nprocs),
-        error=error,
-        fault_events=fault_events,
-        crashed_ranks=tuple(sorted(world.crashed)),
-        revokes=revokes,
-        shrinks=shrinks,
+        **vars(fault_report(name, out)),
+        revokes=calls["MPIX_Comm_revoke"],
+        shrinks=calls["MPIX_Comm_shrink"],
         rollbacks=store.rollbacks,
         checkpoints=store.saves,
         rollback_time=store.rollback_time,
         lineage=store.lineage_digest(),
-        result=None if out.error is not None else out.results,
     )
+    if report.shrinks and report.outcome != "aborted":
+        report.outcome = "recovered"
     return RecoveryRun(report=report, run=out, store=store)

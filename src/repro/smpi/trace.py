@@ -26,16 +26,16 @@ per-event object left for the garbage collector to scan — the argument
 tuple is freed at once, and ints, floats and strs are not tracked.
 Readers build the :class:`TraceEvent` tuples *on read*, once per event
 and in record order: the unread tail moves from the flat list into the
-built list, so each event is held only once.  The whole-trace
-:meth:`Tracer.summary` folds the events built since the last read in
-list order — O(1) amortised, and bit-identical to an eager fold.
-Per-rank reads scan the built events.
+built list, so each event is held only once.  :meth:`Tracer.summary`
+folds the events (all, or one rank's) when asked, in record order, so
+its float sums are those of an eager fold; every caller reads a
+finished world once.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -117,9 +117,6 @@ class TraceSummary:
                 self.primitive_counts.get(event.primitive, 0) + 1
             )
 
-    def copy(self) -> "TraceSummary":
-        return replace(self, primitive_counts=dict(self.primitive_counts))
-
 
 #: fields per event in :attr:`Tracer._flat`
 _FIELDS = len(TraceEvent._fields)
@@ -129,8 +126,7 @@ _event = partial(tuple.__new__, TraceEvent)
 
 class Tracer:
     """Event recorder shared by all ranks of a world: ranks append
-    lock-free, readers build the new tail under ``_tail_lock`` and fold
-    it into the running summary under ``_lock``."""
+    lock-free, readers build the new tail under ``_tail_lock``."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -139,9 +135,6 @@ class Tracer:
         #: the events built so far, in record order
         self._events: list[TraceEvent] = []
         self._tail_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._summary = TraceSummary()
-        self._folded = 0  # events already in ``_summary``
 
     def record(self, rank: int, category: str, primitive: str, nbytes: int,
                t_start: float, t_end: float, peer: int = -1, cid: int = -1,
@@ -171,41 +164,19 @@ class Tracer:
             return len(self._events) + len(self._flat) // _FIELDS
 
     def clear(self) -> None:
-        with self._lock, self._tail_lock:
+        with self._tail_lock:
             self._flat.clear()
             self._events.clear()
-            self._summary = TraceSummary()
-            self._folded = 0
-
-    def _fold(self) -> TraceSummary:
-        """Fold the events recorded since the last read in (holding ``_lock``)."""
-        with self._tail_lock:
-            events = self._built()
-            n = len(events)
-        for e in islice(events, self._folded, n):
-            self._summary._add(e)
-        self._folded = n
-        return self._summary
 
     def primitives_used(self, rank: Optional[int] = None) -> set[str]:
         """Names of MPI primitives any (or one) rank invoked."""
-        if rank is None:
-            with self._lock:
-                return set(self._fold().primitive_counts)
-        return {e.primitive for e in self.events_for(rank) if e.category != "compute"}
+        return set(self.summary(rank).primitive_counts)
 
     def summary(self, rank: Optional[int] = None) -> TraceSummary:
-        """Aggregate times/volumes over all events (or one rank's).
-
-        The whole-trace summary is O(1) amortised: a copy of the running
-        aggregate after folding in the events recorded since the last
-        read.  Per-rank summaries walk that rank's events.
-        """
-        if rank is None:
-            with self._lock:
-                return self._fold().copy()
+        """Aggregate times/volumes over all events (or one rank's),
+        folded in record order when asked."""
         out = TraceSummary()
-        for e in self.events_for(rank):
+        for e in self.events if rank is None else self.events_for(rank):
             out._add(e)
         return out
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import smpi
 from repro.errors import ValidationError
+from repro.faults import FaultPlan
 from repro.obs.analysis import (
     analyze_wait_states,
     critical_path,
@@ -152,3 +153,60 @@ def test_empty_trace_rejected_everywhere():
     for fn_ in (analyze_wait_states, critical_path, load_imbalance):
         with pytest.raises(ValidationError):
             fn_(out.tracer)
+
+
+def _collective_then_straggler_shrink(comm):
+    """Staggered entry into an allreduce, then rank 2 crashes (by plan)
+    and rank 1 arrives late to the survivors' shrink."""
+    comm.set_errhandler(smpi.ERRORS_RETURN)
+    comm.compute(flops=1e6 * comm.rank)
+    comm.allreduce(comm.rank, op=smpi.SUM)
+    comm.compute(flops={0: 0, 1: 5e6, 2: 2e6}[comm.rank])
+    return comm.shrink().size
+
+
+def _straggler_shrink_run():
+    plan = FaultPlan().crash(rank=2, at_time=2e-4)
+    out = smpi.launch(3, _collective_then_straggler_shrink, faults=plan, check=False)
+    assert out.error is None and out.results == [2, 2, None]
+    return out
+
+
+def test_rendezvous_waits_and_critical_path_are_pinned():
+    """Both rendezvous patterns, and the path through the shrink, to the
+    last bit (floats compared with ``==``)."""
+    out = _straggler_shrink_run()
+    intervals = [
+        (w.rank, w.kind, w.primitive, w.peer, w.t_start, w.t_end, w.cid)
+        for w in analyze_wait_states(out.tracer).intervals
+    ]
+    assert intervals == [
+        (0, "collective_sync", "MPI_Allreduce", -1, 0.0, 0.0001, 0),
+        (1, "collective_sync", "MPI_Allreduce", -1, 5e-05, 0.0001, 0),
+        (0, "recovery_sync", "MPIX_Comm_shrink", -1,
+         0.00010100240000000001, 0.0003510024, 0),
+    ]
+    path = critical_path(out.tracer)
+    segments = [
+        (s.rank, s.category, s.primitive, s.t_start, s.t_end, s.contribution)
+        for s in path.segments
+    ]
+    assert segments == [
+        (2, "compute", "compute", 0.0, 0.0001, 0.0001),
+        (1, "collective", "MPI_Allreduce", 5e-05, 0.00010100240000000001,
+         1.0024000000000025e-06),
+        (1, "compute", "compute", 0.00010100240000000001, 0.0003510024, 0.00025),
+        (1, "recovery", "MPIX_Comm_shrink", 0.0003510024, 0.0003525024,
+         1.4999999999999823e-06),
+    ]
+    assert path.makespan == 0.0003525024
+
+
+def test_a_handed_event_list_is_left_as_it_was():
+    events = _straggler_shrink_run().tracer.events
+    before = list(events)
+    match_messages(events)
+    analyze_wait_states(events)
+    critical_path(events)
+    load_imbalance(events)
+    assert events == before

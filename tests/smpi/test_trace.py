@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import smpi
 from repro.smpi.trace import TraceEvent, Tracer, TraceSummary
+from repro.smpi import trace as trace_mod
 
 
 def test_primitives_recorded():
@@ -85,8 +86,8 @@ def test_summary_primitive_counts():
 
 
 def test_concurrent_record_loses_no_events():
-    """N rank threads hammer one tracer; every event and every
-    incremental-summary update must survive."""
+    """N rank threads hammer one tracer; every event must survive into
+    the events and the summary."""
     tracer = Tracer()
     n_ranks, n_events = 8, 500
     barrier = threading.Barrier(n_ranks)
@@ -115,7 +116,7 @@ def test_concurrent_record_loses_no_events():
 
 
 def test_incremental_summary_matches_recompute():
-    """The O(1) whole-trace summary equals an event-list recompute."""
+    """The whole-trace summary equals an event-list recompute."""
 
     def fn(comm):
         comm.compute(seconds=0.1)
@@ -311,12 +312,37 @@ def test_record_takes_no_lock_and_does_no_summary_work(monkeypatch):
         raise AssertionError("record folded into the summary")
 
     tracer = Tracer()
-    tracer._lock = NoLock()
+    tracer._tail_lock = NoLock()
     monkeypatch.setattr(TraceSummary, "_add", no_add)
     tracer.record(0, "p2p", "MPI_Send", 8, 0.0, 1.0, peer=1, cid=0, msg_id=0)
     tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
+    tracer._tail_lock = threading.Lock()
     assert len(tracer) == 2
     assert tracer.events[0] == TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0)
+
+
+def test_record_takes_neither_lock(monkeypatch):
+    """Record neither takes the tracer lock nor builds an event: both
+    wait for the first read, which returns every event in record order."""
+
+    class NoLock:
+        def __enter__(self):
+            raise AssertionError("record took a tracer lock")
+
+    def no_build(fields):
+        raise AssertionError("record built an event")
+
+    tracer = Tracer()
+    tracer._tail_lock = NoLock()
+    monkeypatch.setattr(trace_mod, "_event", no_build)
+    tracer.record(0, "p2p", "MPI_Send", 8, 0.0, 1.0, peer=1, cid=0, msg_id=0)
+    tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
+    tracer._tail_lock = threading.Lock()
+    monkeypatch.undo()
+    assert tracer.events == [
+        TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0),
+        TraceEvent(1, "compute", "compute", 0, 0.0, 2.0),
+    ]
 
 
 # -- events stored flat, built on read ----------------------------------------
@@ -339,6 +365,7 @@ def _assert_matches_recompute(tracer, recorded):
         for e in mine:
             alone._add(e)
         assert tracer.summary(rank) == alone
+        assert tracer.primitives_used(rank) == set(alone.primitive_counts)
 
 
 _steps = st.lists(
@@ -377,19 +404,3 @@ def test_readers_match_a_full_recompute_between_records_and_clears(steps):
         else:
             _assert_matches_recompute(tracer, recorded)
 
-
-def test_record_takes_neither_lock():
-    class NoLock:
-        def __enter__(self):
-            raise AssertionError("record took a tracer lock")
-
-    tracer = Tracer()
-    tracer._lock = tracer._tail_lock = NoLock()
-    tracer.record(0, "p2p", "MPI_Send", 8, 0.0, 1.0, peer=1, cid=0, msg_id=0)
-    tracer.record(1, "compute", "compute", 0, 0.0, 2.0)
-    tracer._lock = threading.Lock()
-    tracer._tail_lock = threading.Lock()
-    assert tracer.events == [
-        TraceEvent(0, "p2p", "MPI_Send", 8, 0.0, 1.0, 1, 0, 0),
-        TraceEvent(1, "compute", "compute", 0, 0.0, 2.0),
-    ]

@@ -242,6 +242,15 @@ def _cmd_trace(args) -> int:
     if args.list:
         return _list_workloads(WORKLOADS)
     params = _workload_params(args, WORKLOADS)
+    if args.export_json:
+        # Checked before the run, which the missing directory would waste.
+        from pathlib import Path
+
+        from repro.errors import ValidationError
+
+        folder = Path(args.export_json).parent
+        if not folder.is_dir():
+            raise ValidationError(f"--export-json: no such directory {str(folder)!r}")
     result = run_workload(args.workload, nprocs=args.nprocs, **params)
     tracer = result.tracer
     print(

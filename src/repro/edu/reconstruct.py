@@ -114,11 +114,11 @@ class _State:
 
     Plain Python lists: at 42 pairs a scalar loop is several times
     faster than small-array numpy.  Each pair's share of the energy is
-    kept in ``terms``; a move changes two pairs, so :meth:`propose`
-    re-scores only those two and :meth:`commit` applies them.  A changed
-    relative-change sum is re-added over the contributing pairs in index
-    order, the same additions as a full rescan, so it is bit-identical
-    (builtin ``sum`` is not: it compensates rounding on 3.12+).
+    kept in ``terms``; a move changes two pairs, so :func:`_anneal`
+    re-scores only those two.  A changed relative-change sum is re-added
+    over the contributing pairs in index order, the same additions as a
+    full rescan, so it is bit-identical (builtin ``sum`` is not: it
+    compensates rounding on 3.12+).
     """
 
     def __init__(self, spec: ReconstructionSpec, rng: np.random.Generator):
@@ -164,7 +164,6 @@ class _State:
             if s in self.dec_count:
                 self.dec_count[s] += t[1]
         self.missing = sum(1 for c in self.dec_count.values() if c == 0)
-        self._pending: tuple | None = None
 
     @staticmethod
     def _spread(total: int, cap: int, n: int, rng: np.random.Generator) -> list[int]:
@@ -191,88 +190,27 @@ class _State:
         Hard: direction-count mismatches, monotone violations, missing
         required decreases, zero post scores on changed pairs.  Soft:
         distance of the two relative-change means from their targets
-        (percentage points).
+        (percentage points).  :func:`_anneal` scores its moves with the
+        same expressions.
         """
-        return self._score(
-            self.inc, self.dec, self.penalty, self.missing,
-            self.rel_inc_sum, self.rel_dec_sum,
-        )
-
-    def _score(self, inc, dec, penalty, missing, rel_inc_sum, rel_dec_sum):
-        spec = self.spec
+        spec, inc, dec = self.spec, self.inc, self.dec
         hard = (
             abs(inc - spec.increase)
             + abs(dec - spec.decrease)
             + abs(self.n - inc - dec - spec.equal)
-            + penalty
-            + 2 * missing
+            + self.penalty
+            + 2 * self.missing
         )
         soft = 0.0
         if inc:
-            soft += abs(100.0 * rel_inc_sum / inc - spec.target_rel_increase)
+            soft += abs(100.0 * self.rel_inc_sum / inc - spec.target_rel_increase)
         else:
             soft += spec.target_rel_increase
         if dec:
-            soft += abs(100.0 * rel_dec_sum / dec - spec.target_rel_decrease)
+            soft += abs(100.0 * self.rel_dec_sum / dec - spec.target_rel_decrease)
         else:
             soft += spec.target_rel_decrease
         return float(hard), soft
-
-    def propose(self, scores: list[int], i: int, j: int, step: int) -> tuple[float, float]:
-        """Energy after moving ``step`` points from pair ``j`` to pair
-        ``i`` of ``scores`` (``self.pre`` or ``self.post``).
-
-        The state is unchanged until :meth:`commit`; ``i`` and ``j`` are
-        distinct pairs of the same quiz, hence of different students.
-        """
-        pre, post, monotone = self.pre, self.post, self.monotone
-        if scores is pre:
-            new_i = _pair_terms(pre[i] + step, post[i], monotone[i])
-            new_j = _pair_terms(pre[j] - step, post[j], monotone[j])
-        else:
-            new_i = _pair_terms(pre[i], post[i] + step, monotone[i])
-            new_j = _pair_terms(pre[j], post[j] - step, monotone[j])
-        old_i, old_j = self.terms[i], self.terms[j]
-        inc = self.inc + new_i[0] + new_j[0] - old_i[0] - old_j[0]
-        dec = self.dec + new_i[1] + new_j[1] - old_i[1] - old_j[1]
-        penalty = self.penalty + new_i[2] + new_j[2] - old_i[2] - old_j[2]
-        missing = self.missing
-        for k, new, old in ((i, new_i, old_i), (j, new_j, old_j)):
-            if new[1] != old[1] and self.dec_count.get(self.students[k]) == old[1]:
-                # A must-decrease student gains its first or loses its
-                # last decreased pair.
-                missing += old[1] - new[1]
-        inc_terms = self.inc_terms
-        rel_inc_sum = self.rel_inc_sum
-        if new_i[3] != inc_terms[i] or new_j[3] != inc_terms[j]:
-            inc_terms = inc_terms.copy()
-            inc_terms[i], inc_terms[j] = new_i[3], new_j[3]
-            rel_inc_sum = _fold(inc_terms)
-        dec_terms = self.dec_terms
-        rel_dec_sum = self.rel_dec_sum
-        if new_i[4] != dec_terms[i] or new_j[4] != dec_terms[j]:
-            dec_terms = dec_terms.copy()
-            dec_terms[i], dec_terms[j] = new_i[4], new_j[4]
-            rel_dec_sum = _fold(dec_terms)
-        self._pending = (
-            scores, i, j, step, new_i, new_j, inc, dec, penalty, missing,
-            inc_terms, dec_terms, rel_inc_sum, rel_dec_sum,
-        )
-        return self._score(inc, dec, penalty, missing, rel_inc_sum, rel_dec_sum)
-
-    def commit(self) -> None:
-        """Apply the move last evaluated by :meth:`propose`."""
-        (scores, i, j, step, new_i, new_j, self.inc, self.dec, self.penalty,
-         self.missing, self.inc_terms, self.dec_terms, self.rel_inc_sum,
-         self.rel_dec_sum) = self._pending
-        self._pending = None
-        scores[i] += step
-        scores[j] -= step
-        for k, new in ((i, new_i), (j, new_j)):
-            s = self.students[k]
-            if s in self.dec_count:
-                self.dec_count[s] += new[1] - self.terms[k][1]
-            self.terms[k] = new
 
 
 def _fold(terms: list[float]) -> float:
@@ -288,6 +226,21 @@ def _anneal(
     *,
     soft_tolerance: float,
 ) -> tuple[list[int], list[int], float, float]:
+    """Metropolis search over point moves within one quiz's scores.
+
+    The energy is kept incrementally in locals and written back to
+    ``state`` when the search ends.  A move's integer hard score is
+    computed first.  The soft error is never negative and float
+    rounding is monotone, so ``delta_e >= lb`` with
+    ``lb = (new_hard - hard) * 100.0 - soft``.  When ``lb > 0`` the
+    acceptance draw ``u`` is taken at once, and the move is rejected
+    without its relative-change sums if ``u >= 2 * exp(-lb / T)``: the
+    full test ``u < exp(-delta_e / T)`` could not pass, the factor 2
+    absorbing ``exp``'s last-ulp error (a non-zero ``u`` is at least
+    2**-53, far above the subnormals).  Every other move is scored in
+    full and tested against the same ``u``, so the search takes the
+    same draws and the same steps as scoring every move in full.
+    """
     import math
     import random
 
@@ -297,7 +250,7 @@ def _anneal(
     # k = n.bit_length(), redrawn while >= n, and ``randint(1, b)`` is
     # ``1 + randrange(b)``, so the stream matches those calls exactly.
     py_rng = random.Random(int(rng.integers(0, 2**63 - 1)))
-    getrandbits, uniform = py_rng.getrandbits, py_rng.random
+    getrandbits, uniform, exp = py_rng.getrandbits, py_rng.random, math.exp
     hard, soft = state.energy()
     best = (state.pre.copy(), state.post.copy(), hard, soft)
     temperature = 4.0
@@ -308,7 +261,15 @@ def _anneal(
         steps = max(1, cap // 12)
         quizzes.append((ids, len(ids), len(ids).bit_length(), cap, steps, steps.bit_length()))
     nq, nq_bits = len(quizzes), len(quizzes).bit_length()
-    pre, post = state.pre, state.post
+    spec = state.spec
+    want_inc, want_dec = spec.increase, spec.decrease
+    want_changed = state.n - spec.equal
+    target_inc, target_dec = spec.target_rel_increase, spec.target_rel_decrease
+    pre, post, monotone, students = state.pre, state.post, state.monotone, state.students
+    terms, dec_count = state.terms, state.dec_count
+    inc_terms, dec_terms = state.inc_terms, state.dec_terms
+    inc, dec, penalty, missing = state.inc, state.dec, state.penalty, state.missing
+    rel_inc_sum, rel_dec_sum = state.rel_inc_sum, state.rel_dec_sum
     for _ in range(iterations):
         r = getrandbits(nq_bits)
         while r >= nq:
@@ -326,23 +287,98 @@ def _anneal(
         j = ids[r]
         if i == j:
             continue
-        arr = pre if uniform() < 0.5 else post
+        moves_pre = uniform() < 0.5
+        arr = pre if moves_pre else post
         r = getrandbits(step_bits)
         while r >= steps:
             r = getrandbits(step_bits)
         step = 1 + r
         if arr[i] + step > cap or arr[j] - step < 0:
             continue
-        new_hard, new_soft = state.propose(arr, i, j, step)
+        # Score the move: ``i`` and ``j`` are distinct pairs of one quiz,
+        # hence of different students.
+        if moves_pre:
+            new_i = _pair_terms(pre[i] + step, post[i], monotone[i])
+            new_j = _pair_terms(pre[j] - step, post[j], monotone[j])
+        else:
+            new_i = _pair_terms(pre[i], post[i] + step, monotone[i])
+            new_j = _pair_terms(pre[j], post[j] - step, monotone[j])
+        old_i, old_j = terms[i], terms[j]
+        new_inc = inc + new_i[0] + new_j[0] - old_i[0] - old_j[0]
+        new_dec = dec + new_i[1] + new_j[1] - old_i[1] - old_j[1]
+        new_penalty = penalty + new_i[2] + new_j[2] - old_i[2] - old_j[2]
+        new_missing = missing
+        if new_i[1] != old_i[1] and dec_count.get(students[i]) == old_i[1]:
+            # A must-decrease student gains its first or loses its last
+            # decreased pair.
+            new_missing += old_i[1] - new_i[1]
+        if new_j[1] != old_j[1] and dec_count.get(students[j]) == old_j[1]:
+            new_missing += old_j[1] - new_j[1]
+        new_hard = float(
+            abs(new_inc - want_inc)
+            + abs(new_dec - want_dec)
+            + abs(want_changed - new_inc - new_dec)
+            + new_penalty
+            + 2 * new_missing
+        )
+        lb = (new_hard - hard) * 100.0 - soft
+        if lb > 0:
+            u = uniform()
+            if u and u >= 2.0 * exp(-lb / temperature):
+                temperature *= cooling
+                continue
+        # Full score: a changed relative-change sum is re-folded with the
+        # move applied to its terms, which a rejection restores.
+        inc_changed = new_i[3] != inc_terms[i] or new_j[3] != inc_terms[j]
+        if inc_changed:
+            inc_terms[i], inc_terms[j] = new_i[3], new_j[3]
+            new_rel_inc = _fold(inc_terms)
+        else:
+            new_rel_inc = rel_inc_sum
+        dec_changed = new_i[4] != dec_terms[i] or new_j[4] != dec_terms[j]
+        if dec_changed:
+            dec_terms[i], dec_terms[j] = new_i[4], new_j[4]
+            new_rel_dec = _fold(dec_terms)
+        else:
+            new_rel_dec = rel_dec_sum
+        new_soft = 0.0
+        if new_inc:
+            new_soft += abs(100.0 * new_rel_inc / new_inc - target_inc)
+        else:
+            new_soft += target_inc
+        if new_dec:
+            new_soft += abs(100.0 * new_rel_dec / new_dec - target_dec)
+        else:
+            new_soft += target_dec
         delta_e = (new_hard - hard) * 100.0 + (new_soft - soft)
-        if delta_e <= 0 or uniform() < math.exp(-delta_e / temperature):
-            state.commit()
-            hard, soft = new_hard, new_soft
-            if (hard, soft) < (best[2], best[3]):
-                best = (pre.copy(), post.copy(), hard, soft)
-                if hard == 0 and soft <= soft_tolerance:
-                    break
+        if delta_e > 0:
+            if lb <= 0:
+                u = uniform()
+            if u >= exp(-delta_e / temperature):
+                if inc_changed:
+                    inc_terms[i], inc_terms[j] = old_i[3], old_j[3]
+                if dec_changed:
+                    dec_terms[i], dec_terms[j] = old_i[4], old_j[4]
+                temperature *= cooling
+                continue
+        # Accept.
+        arr[i] += step
+        arr[j] -= step
+        if students[i] in dec_count:
+            dec_count[students[i]] += new_i[1] - old_i[1]
+        if students[j] in dec_count:
+            dec_count[students[j]] += new_j[1] - old_j[1]
+        terms[i], terms[j] = new_i, new_j
+        inc, dec, penalty, missing = new_inc, new_dec, new_penalty, new_missing
+        rel_inc_sum, rel_dec_sum = new_rel_inc, new_rel_dec
+        hard, soft = new_hard, new_soft
+        if (hard, soft) < (best[2], best[3]):
+            best = (pre.copy(), post.copy(), hard, soft)
+            if hard == 0 and soft <= soft_tolerance:
+                break
         temperature *= cooling
+    state.inc, state.dec, state.penalty, state.missing = inc, dec, penalty, missing
+    state.rel_inc_sum, state.rel_dec_sum = rel_inc_sum, rel_dec_sum
     return best
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from repro import smpi
 from repro.data import asteroid_catalog, asteroid_query_boxes, block_partition
 from repro.errors import ValidationError
-from repro.spatial import BruteForceIndex, KDTree, QuadTree, QueryStats, Rect, RTree
+from repro.spatial import BruteForceIndex, KDTree, QuadTree, QueryStats, RTree
 from repro.util.validation import check_positive
 
 #: charged flops per candidate entry examined (compare + branch per dim).
@@ -122,7 +122,7 @@ def _shared_query_profile(index, boxes: np.ndarray, key: tuple) -> np.ndarray:
     """Per-query work profile: ``(q, 3)`` of (matches, nodes, entries).
 
     Every rank answers a *slice* of the same deterministic query set, so
-    executing each query once and letting ranks aggregate their slices
+    profiling each query once and letting ranks aggregate their slices
     is result-identical to per-rank execution — another real-time-only
     optimization (virtual cost is still charged per rank from its own
     slice's counters).
@@ -133,11 +133,7 @@ def _shared_query_profile(index, boxes: np.ndarray, key: tuple) -> np.ndarray:
     with _INDEX_CACHE_LOCK:
         profile = _INDEX_CACHE.get(cache_key)
         if profile is None:
-            profile = np.empty((len(boxes), 3), dtype=np.int64)
-            for i, box in enumerate(boxes):
-                stats = QueryStats()
-                found = index.query_range(Rect.from_intervals(box), stats)
-                profile[i] = (len(found), stats.nodes_visited, stats.entries_checked)
+            profile = index.profile(boxes)
             _INDEX_CACHE[cache_key] = profile
     return profile
 

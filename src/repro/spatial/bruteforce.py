@@ -13,8 +13,39 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.spatial.geometry import QueryStats, Rect
+from repro.spatial.geometry import QueryStats, Rect, query_bounds
 from repro.util.validation import check_points
+
+
+def count_in_boxes(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box, the number of ``points`` inside ``[lo[k], hi[k]]``
+    (inclusive bounds), the count :meth:`Rect.contains_points` gives.
+
+    The points are sorted by x once.  ``searchsorted`` (left of ``lo``,
+    right of ``hi``) finds the x-slab holding exactly the points whose x
+    lies in the box, points on a bound included; the inclusive mask then
+    runs over that slab's other coordinates only.  A NaN bound matches
+    nothing: a NaN ``lo`` sorts after every x, leaving an empty slab, and
+    a NaN ``hi`` empties its slab explicitly; on the other axes the
+    comparisons fail.
+    """
+    order = np.argsort(points[:, 0])
+    xs = points[order, 0]
+    others = [np.ascontiguousarray(points[order, axis]) for axis in range(1, points.shape[1])]
+    start = np.searchsorted(xs, lo[:, 0], side="left")
+    stop = np.searchsorted(xs, hi[:, 0], side="right")
+    stop[np.isnan(hi[:, 0])] = 0
+    counts = np.maximum(stop - start, 0)
+    if others:
+        for k in np.flatnonzero(counts).tolist():
+            a, b = start[k], stop[k]
+            inside = np.ones(b - a, dtype=bool)
+            for axis, col in enumerate(others, start=1):
+                slab = col[a:b]
+                inside &= slab >= lo[k, axis]
+                inside &= slab <= hi[k, axis]
+            counts[k] = np.count_nonzero(inside)
+    return counts
 
 
 class BruteForceIndex:
@@ -37,6 +68,17 @@ class BruteForceIndex:
             stats.nodes_visited += 1
             stats.entries_checked += len(self.points)
             stats.results += len(out)
+        return out
+
+    def profile(self, boxes) -> np.ndarray:
+        """Per-query (matches, nodes visited, entries checked) of a
+        ``(q, d, 2)`` array of interval boxes: every query visits the one
+        node and checks every point; only the matches need counting."""
+        lo, hi = query_bounds(boxes, self.dims)
+        out = np.empty((len(lo), 3), dtype=np.int64)
+        out[:, 0] = count_in_boxes(self.points, lo, hi)
+        out[:, 1] = 1
+        out[:, 2] = len(self.points)
         return out
 
     def query_knn(

@@ -134,3 +134,29 @@ class QueryStats:
         self.nodes_visited = 0
         self.entries_checked = 0
         self.results = 0
+
+
+def query_bounds(boxes, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, each ``(q, dims)``, of a ``(q, dims, 2)`` array of
+    per-axis ``(lo, hi)`` query intervals, checked as :class:`Rect`
+    checks one box (a NaN bound passes and matches nothing)."""
+    arr = np.asarray(boxes, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[1:] != (dims, 2):
+        raise ValidationError(
+            f"query boxes must have shape (q, {dims}, 2), got {arr.shape}"
+        )
+    lo, hi = arr[:, :, 0], arr[:, :, 1]
+    if np.any(lo > hi):
+        raise ValidationError("empty query box: a lower bound exceeds its upper bound")
+    return lo, hi
+
+
+def profile_by_queries(index, boxes) -> np.ndarray:
+    """``(q, 3)`` of (matches, nodes visited, entries checked) for each
+    ``(d, 2)`` interval box, one ``index.query_range`` at a time."""
+    profile = np.empty((len(boxes), 3), dtype=np.int64)
+    for i, box in enumerate(boxes):
+        stats = QueryStats()
+        found = index.query_range(Rect.from_intervals(box), stats)
+        profile[i] = (len(found), stats.nodes_visited, stats.entries_checked)
+    return profile

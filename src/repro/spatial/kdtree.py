@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.spatial.geometry import QueryStats, Rect
+from repro.spatial.geometry import QueryStats, Rect, profile_by_queries
 from repro.util.validation import check_points, check_positive
 
 
@@ -86,3 +86,8 @@ class KDTree:
         result = np.sort(np.concatenate(out)).astype(np.int64)
         local.results += len(result)
         return result
+
+    def profile(self, boxes) -> np.ndarray:
+        """Per-query (matches, nodes visited, entries checked) of a
+        ``(q, d, 2)`` array of interval boxes."""
+        return profile_by_queries(self, boxes)

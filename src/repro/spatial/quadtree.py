@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.spatial.geometry import QueryStats, Rect
+from repro.spatial.geometry import QueryStats, Rect, profile_by_queries
 from repro.util.validation import check_points, check_positive
 
 
@@ -112,3 +112,8 @@ class QuadTree:
                     stack.append(child)
         local.results += len(out)
         return np.sort(np.asarray(out, dtype=np.int64))
+
+    def profile(self, boxes) -> np.ndarray:
+        """Per-query (matches, nodes visited, entries checked) of a
+        ``(q, 2, 2)`` array of interval boxes."""
+        return profile_by_queries(self, boxes)

@@ -15,8 +15,14 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.spatial.geometry import QueryStats, Rect
+from repro.spatial.bruteforce import count_in_boxes
+from repro.spatial.geometry import QueryStats, Rect, query_bounds
 from repro.util.validation import check_points, check_positive, require
+
+
+#: query-by-entry cells one chunk of :meth:`RTree.profile` compares at a
+#: level: each boolean array it holds is at most 1 MB.
+_PROFILE_CELLS = 1 << 20
 
 
 class _Node:
@@ -95,6 +101,10 @@ class RTree:
         p = np.asarray(point, dtype=np.float64)
         if p.shape != (self.dims,):
             raise ValidationError(f"point must have shape ({self.dims},), got {p.shape}")
+        if not np.isfinite(p).all():
+            # A NaN would poison every bounding box above it and hide
+            # the finite points beside it from every query.
+            raise ValidationError(f"point contains non-finite values: {p.tolist()}")
         rect = Rect.from_point(p)
         split = self._insert(self.root, rect, index)
         if split is not None:
@@ -283,6 +293,58 @@ class RTree:
                     stack.extend(compress(node.children, hit.tolist()))
         local.results += len(out)
         return np.sort(np.asarray(out, dtype=np.int64))
+
+    def profile(self, boxes) -> np.ndarray:
+        """Per-query (matches, nodes visited, entries checked) of a
+        ``(q, d, 2)`` array of interval boxes: what :meth:`query_range`
+        returns and counts for each box, computed for many boxes at once.
+
+        The tree is walked level by level for a chunk of queries: a
+        child is visited if its parent was and its entry box intersects
+        the query, and each visited node checks all its entries.  A
+        point lies inside a box only if every box above it does (points
+        are finite), so the matches are the brute-force counts over the
+        leaves' points.
+        """
+        lo, hi = query_bounds(boxes, self.dims)
+        out = np.zeros((len(lo), 3), dtype=np.int64)
+        if not self._size:
+            return out
+        # Per depth: entry counts of its nodes, then the boxes of its
+        # inner nodes' entries, one row per axis, with the position of
+        # each entry's node; entry e's child is node e of the next depth.
+        levels = []
+        points = []
+        nodes = [self.root]
+        while nodes:
+            counts = np.array([node.count for node in nodes], dtype=np.int64)
+            points.extend(node.boxes()[0] for node in nodes if node.leaf)
+            inner = [(k, node) for k, node in enumerate(nodes) if not node.leaf]
+            nodes = [child for _, node in inner for child in node.children]
+            if not inner:
+                levels.append((counts, None, None, None))
+                break
+            levels.append((
+                counts,
+                np.concatenate([node.boxes()[0] for _, node in inner]).T.copy(),
+                np.concatenate([node.boxes()[1] for _, node in inner]).T.copy(),
+                np.repeat([k for k, _ in inner], [node.count for _, node in inner]),
+            ))
+        chunk = max(1, _PROFILE_CELLS // max(len(level[0]) for level in levels))
+        for a in range(0, len(lo), chunk):
+            qlo, qhi = lo[a : a + chunk, :, None], hi[a : a + chunk, :, None]
+            visited = np.ones((len(qlo), 1), dtype=bool)
+            for counts, mins, maxs, parent in levels:
+                out[a : a + chunk, 1] += np.count_nonzero(visited, axis=1)
+                out[a : a + chunk, 2] += visited.astype(np.int64) @ counts
+                if parent is None:
+                    break
+                visited = visited[:, parent]
+                for axis in range(self.dims):
+                    visited &= mins[axis] <= qhi[:, axis]
+                    visited &= maxs[axis] >= qlo[:, axis]
+        out[:, 0] = count_in_boxes(np.concatenate(points), lo, hi)
+        return out
 
     def query_knn(
         self, point, k: int, stats: Optional[QueryStats] = None

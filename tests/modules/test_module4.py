@@ -133,9 +133,9 @@ def test_validation_of_sizes():
 
 
 def test_query_profile_is_computed_once_across_ranks(monkeypatch):
-    """16 ranks starting cold share one profile: the first rank runs the
-    q queries while the others wait for it, instead of each repeating
-    them (a cold ``repro run E5`` would otherwise run 16 x 4,096)."""
+    """16 ranks starting cold share one profile: the first rank profiles
+    the q queries while the others wait for it, instead of each repeating
+    them (a cold ``repro run E5`` would otherwise profile 16 x 4,096)."""
     import time
 
     from repro.modules import module4_range
@@ -143,15 +143,15 @@ def test_query_profile_is_computed_once_across_ranks(monkeypatch):
 
     monkeypatch.setattr(module4_range, "_INDEX_CACHE", {})
     calls = []
-    query = RTree.query_range
+    profile = RTree.profile
 
-    def spy(self, rect, stats=None):
-        calls.append(rect)
-        time.sleep(0.001)  # widen the window in which other ranks arrive
-        return query(self, rect, stats)
+    def spy(self, boxes):
+        calls.append(len(boxes))
+        time.sleep(0.05)  # widen the window in which other ranks arrive
+        return profile(self, boxes)
 
-    monkeypatch.setattr(RTree, "query_range", spy)
+    monkeypatch.setattr(RTree, "profile", spy)
     q = 48
     out = smpi.run(16, range_query_activity, n=2000, q=q, algorithm="rtree", seed=7)
-    assert len(calls) == q
+    assert calls == [q]
     assert sum(r.queries_answered for r in out) == q

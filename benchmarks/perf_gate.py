@@ -5,12 +5,13 @@ Usage::
     python benchmarks/perf_gate.py PARENT_DIR [--out BENCH_runtime.json]
 
 ``PARENT_DIR`` is a checkout of the parent commit.  The gate runs the
-unchanged ``perfbench/run.py --trace 0`` of both checkouts on ``ring``
-and ``fanin``, ``PAIRS`` times each, alternating which side runs first.
+unchanged ``perfbench/run.py --trace 0`` of both checkouts on ``ring``,
+``fanin`` and ``drills``, ``PAIRS`` times each, alternating which side
+runs first.
 It exits 1 if any run reports ``correct: false`` or ``failed > 0`` (a
 wrong digest, a failed program check, a missed wakeup or a crashed
 child), naming the side, or if the change's median ``wall_s`` is more
-than ``THRESHOLD`` above the parent's on either workload.
+than ``THRESHOLD`` above the parent's on any workload.
 
 The parent is timed back to back with the change because no committed
 baseline fits a 20 % bound: the same code timed at two different
@@ -34,8 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 5
 #: ``--seconds`` of each run: about four iterations of either storm
 SECONDS = 10
-#: the two storms: ``ring`` is latency-bound, ``fanin`` matching-bound
-WORKLOADS = ("ring", "fanin")
+#: the two storms, ``ring`` latency-bound and ``fanin`` matching-bound, and
+#: ``drills``, the only one that reaches the fault, checkpoint, recovery
+#: and sanitizer layers
+WORKLOADS = ("ring", "fanin", "drills")
 #: the most the change's median ``wall_s`` may exceed the parent's
 THRESHOLD = 0.20
 SIDES = ("parent", "change")
@@ -154,7 +157,7 @@ def main(argv=None) -> int:
                 result = run_perfbench(roots[side], workload, seed=pair + 1)
                 runs[workload][side].append(result)
             print(
-                f"pair {pair + 1}/{PAIRS} {workload:5s} ({order[0]} first): "
+                f"pair {pair + 1}/{PAIRS} {workload:6s} ({order[0]} first): "
                 + "  ".join(_shown(side, runs[workload][side][-1]) for side in SIDES),
                 flush=True,
             )

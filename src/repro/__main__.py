@@ -256,7 +256,7 @@ def _cmd_trace(args) -> int:
     print(
         f"workload {args.workload!r} on {result.world.nprocs} ranks: "
         f"virtual makespan {result.elapsed:.6g} s, "
-        f"{len(tracer.events)} trace events"
+        f"{len(tracer)} trace events"
     )
     print()
     print(render_timeline(tracer, width=args.width))

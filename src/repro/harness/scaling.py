@@ -76,20 +76,10 @@ def run_weak_scaling(
     per rank (e.g. Module 3's ``n_per_rank``).  Efficiency is
     ``T(p_min) / T(p)``.
     """
-    if not p_list:
-        raise ValidationError("p_list must be non-empty")
-    cluster = cluster or ClusterSpec.monsoon_like(num_nodes=4)
-    times: dict[int, float] = {}
-    for p in p_list:
-        if placement == "block":
-            place = Placement.block(cluster, p)
-        elif placement == "spread":
-            place = Placement.spread(cluster, p, nodes=nodes)
-        else:
-            raise ValidationError(f"unknown placement {placement!r}")
-        out = smpi.launch(p, worker, cluster=cluster, placement=place, **kwargs)
-        times[p] = out.elapsed
-    return WeakScalingResult(times=times)
+    strong = run_strong_scaling(
+        worker, p_list, cluster=cluster, placement=placement, nodes=nodes, **kwargs
+    )
+    return WeakScalingResult(times=strong.times)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,16 @@ def distribution_sort(comm, local_values: np.ndarray, splitters: np.ndarray) -> 
     )
 
 
+def _local_values(distribution: str, n_per_rank: int, seed, rank: int) -> np.ndarray:
+    """One rank's input values, drawn from the stream of ``rank``."""
+    rng = spawn_rng(seed, "sort", rank)
+    if distribution == "uniform":
+        return uniform_values(n_per_rank, seed=rng)
+    if distribution == "exponential":
+        return exponential_values(n_per_rank, scale=1.0, seed=rng)
+    raise ValidationError(f"unknown distribution {distribution!r}")
+
+
 def sort_activity(
     comm,
     *,
@@ -185,16 +195,8 @@ def sort_activity(
     set.
     """
     check_positive("n_per_rank", n_per_rank)
-    if distribution == "uniform":
-        local = uniform_values(n_per_rank, seed=spawn_rng(seed, "sort", comm.rank))
-        known_range = (0.0, 1.0)
-    elif distribution == "exponential":
-        local = exponential_values(
-            n_per_rank, scale=1.0, seed=spawn_rng(seed, "sort", comm.rank)
-        )
-        known_range = None
-    else:
-        raise ValidationError(f"unknown distribution {distribution!r}")
+    local = _local_values(distribution, n_per_rank, seed, comm.rank)
+    known_range = (0.0, 1.0) if distribution == "uniform" else None
 
     if method == "equal":
         if known_range is None:
@@ -259,15 +261,7 @@ def sort_recoverable(
     orphans = sorted(original - set(comm.group))
     resume = attempt > 0 and set(comm.group) <= members
     if not resume:
-        if distribution == "uniform":
-            local = uniform_values(
-                n_per_rank, seed=spawn_rng(seed, "sort", comm.world_rank)
-            )
-        else:
-            local = exponential_values(
-                n_per_rank, scale=1.0,
-                seed=spawn_rng(seed, "sort", comm.world_rank),
-            )
+        local = _local_values(distribution, n_per_rank, seed, comm.world_rank)
         store.save(comm, 0, {"values": local})
         comm.barrier()  # epoch cut: every rank's values are now adoptable
     else:

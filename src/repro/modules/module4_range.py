@@ -138,8 +138,10 @@ def _shared_query_profile(index, boxes: np.ndarray, key: tuple) -> np.ndarray:
     return profile
 
 
-def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_entries: int) -> float:
-    """Charge the roofline cost of answered queries from work counters."""
+def _query_work(
+    algorithm: str, stats: QueryStats, dims: int, max_entries: int
+) -> tuple[float, float]:
+    """The cost model's ``(flops, nbytes)`` for answered queries."""
     flops = stats.entries_checked * FLOPS_PER_ENTRY
     if algorithm == "brute":
         nbytes = stats.entries_checked * dims * 8 * BRUTE_MISS_FRACTION
@@ -149,6 +151,12 @@ def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_en
             * _node_bytes(dims, max_entries)
             * RTREE_RANDOM_ACCESS_PENALTY
         )
+    return flops, nbytes
+
+
+def charge_query_cost(comm, algorithm: str, stats: QueryStats, dims: int, max_entries: int) -> float:
+    """Charge the roofline cost of answered queries from work counters."""
+    flops, nbytes = _query_work(algorithm, stats, dims, max_entries)
     return comm.compute(flops=flops, nbytes=nbytes)
 
 
@@ -253,13 +261,5 @@ def operational_intensity_of(algorithm: str, stats: QueryStats, dims: int, max_e
     """Flops-per-byte this module's cost model assigns a finished run —
     lets students *see* why the brute force scan is compute-bound
     (intensity far above the node ridge) and the R-tree is not."""
-    flops = stats.entries_checked * FLOPS_PER_ENTRY
-    if algorithm == "brute":
-        nbytes = stats.entries_checked * dims * 8 * BRUTE_MISS_FRACTION
-    else:
-        nbytes = (
-            stats.nodes_visited
-            * _node_bytes(dims, max_entries)
-            * RTREE_RANDOM_ACCESS_PENALTY
-        )
+    flops, nbytes = _query_work(algorithm, stats, dims, max_entries)
     return flops / nbytes if nbytes else float("inf")

@@ -25,7 +25,7 @@ that make this visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,29 +139,57 @@ def kmeans_distributed(
     """
     if method not in ("weighted", "explicit"):
         raise ValidationError(f"method must be 'weighted' or 'explicit', got {method!r}")
+    full, local, centroids = _scatter_dataset(comm, points, n, k, dims, seed)
+    return _lloyd(
+        comm, local, centroids, full=full, method=method, start=0,
+        max_iter=max_iter, tol=tol,
+    )
+
+
+def _scatter_dataset(
+    comm, points: Optional[np.ndarray], n: int, k: int, dims: int, seed: SeedLike
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Rank 0 scatters ``N/p``-point blocks of ``points`` (generated if
+    ``None``) and broadcasts the initial centroids; returns ``(full,
+    local, centroids)``, with ``full`` only on rank 0."""
     full: Optional[np.ndarray] = None
+    chunks = centroids = None
     if comm.rank == 0:
         if points is None:
             full, _, _ = gaussian_mixture(n, k, dims, seed=seed)
         else:
             full = check_points("points", points)
-        n, dims = full.shape
         chunks = partition_points(full, comm.size)
         centroids = initial_centroids(full, k, seed=seed)
-    else:
-        chunks, centroids = None, None
     local = comm.scatter(chunks, root=0)
-    centroids = comm.bcast(centroids, root=0)
-    k = len(centroids)
-    n_local = len(local)
+    return full, local, comm.bcast(centroids, root=0)
 
+
+def _lloyd(
+    comm,
+    local: np.ndarray,
+    centroids: np.ndarray,
+    *,
+    full: Optional[np.ndarray],
+    method: str,
+    start: int,
+    max_iter: int,
+    tol: float,
+    after_iteration: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> KMeansResult:
+    """Lloyd iterations ``start .. max_iter - 1`` over this rank's points,
+    then the global inertia.  ``k`` and ``dims`` come from the centroids
+    every rank holds; ``full`` (rank 0 only) serves ``explicit``.
+    ``after_iteration(iterations, centroids)`` runs after each centroid
+    update, before the convergence test."""
+    k, dims = centroids.shape
+    n_local = len(local)
     compute_time = 0.0
     comm_time = 0.0
-    iterations = 0
+    iterations = start
     converged = False
-    labels = np.zeros(n_local, dtype=np.int64)
 
-    for _ in range(max_iter):
+    for it in range(start, max_iter):
         # --- compute phase: assignment + local partial sums -------------
         t0 = comm.wtime()
         labels = assign_points(local, centroids)
@@ -190,9 +218,11 @@ def kmeans_distributed(
         new_centroids = update_centroids(g_sums, g_counts, centroids)
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        iterations += 1
+        iterations = it + 1
         compute_time += t1 - t0
         comm_time += t2 - t1
+        if after_iteration is not None:
+            after_iteration(iterations, centroids)
         if shift <= tol:
             converged = True
             break
@@ -225,8 +255,8 @@ def kmeans_recoverable(
     seed: SeedLike = 0,
     checkpoint_every: int = 1,
 ) -> KMeansResult:
-    """Module 5 k-means as a recoverable body for
-    :func:`repro.recovery.run_with_recovery`.
+    """Module 5 k-means (the ``weighted`` method) as a recoverable body
+    for :func:`repro.recovery.run_with_recovery`.
 
     Epoch 0 checkpoints each rank's scattered points plus the initial
     centroids; every ``checkpoint_every`` iterations the (small) global
@@ -251,14 +281,7 @@ def kmeans_recoverable(
     if not resume:
         # Fresh (re)start: rank 0 of the *current* comm generates and
         # scatters; everyone checkpoints the epoch-0 state.
-        if comm.rank == 0:
-            full, _, _ = gaussian_mixture(n, k, dims, seed=seed)
-            chunks = partition_points(full, comm.size)
-            centroids = initial_centroids(full, k, seed=seed)
-        else:
-            chunks, centroids = None, None
-        local = comm.scatter(chunks, root=0)
-        centroids = comm.bcast(centroids, root=0)
+        _, local, centroids = _scatter_dataset(comm, None, n, k, dims, seed)
         store.save(
             comm, 0,
             {"points": local, "centroids": centroids, "iteration": 0},
@@ -279,54 +302,15 @@ def kmeans_recoverable(
         centroids = state["centroids"]
         start_iter = int(state["iteration"])
 
-    k = len(centroids)
-    n_local = len(local)
-    compute_time = 0.0
-    comm_time = 0.0
-    iterations = start_iter
-    converged = False
-
-    for it in range(start_iter, max_iter):
-        t0 = comm.wtime()
-        labels = assign_points(local, centroids)
-        sums, counts = cluster_sums(local, labels, k)
-        comm.compute(
-            flops=n_local * k * (ASSIGN_FLOPS_PER_ELEMENT * dims + 1.0),
-            nbytes=n_local * dims * 8 + k * dims * 8,
-        )
-        t1 = comm.wtime()
-        packed = np.concatenate([sums.ravel(), counts])
-        total = comm.allreduce(packed, op=smpi.SUM)
-        t2 = comm.wtime()
-        g_sums = total[: k * dims].reshape(k, dims)
-        g_counts = total[k * dims :]
-        new_centroids = update_centroids(g_sums, g_counts, centroids)
-        shift = float(np.abs(new_centroids - centroids).max())
-        centroids = new_centroids
-        iterations = it + 1
-        compute_time += t1 - t0
-        comm_time += t2 - t1
-        if (it + 1) % checkpoint_every == 0:
+    def checkpoint(iteration: int, centroids: np.ndarray) -> None:
+        if iteration % checkpoint_every == 0:
             store.save(
-                comm, it + 1,
-                {"centroids": centroids, "iteration": it + 1},
+                comm, iteration, {"centroids": centroids, "iteration": iteration}
             )
-        if shift <= tol:
-            converged = True
-            break
 
-    labels = assign_points(local, centroids)
-    local_sse = float(((local - centroids[labels]) ** 2).sum())
-    inertia = comm.allreduce(local_sse, op=smpi.SUM)
-    return KMeansResult(
-        centroids=centroids,
-        local_labels=labels,
-        iterations=iterations,
-        converged=converged,
-        inertia=inertia,
-        compute_time=compute_time,
-        comm_time=comm_time,
-        method="weighted",
+    return _lloyd(
+        comm, local, centroids, full=None, method="weighted", start=start_iter,
+        max_iter=max_iter, tol=tol, after_iteration=checkpoint,
     )
 
 

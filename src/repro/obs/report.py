@@ -19,8 +19,10 @@ from repro.util.tables import TextTable
 def render_rank_summary(tracer: Tracer, title: str = "Per-rank breakdown") -> str:
     """Compute/p2p/collective split per rank, Module-5 style."""
     per_rank: dict[int, TraceSummary] = defaultdict(TraceSummary)
+    total = TraceSummary()
     for e in tracer.events:
         per_rank[e.rank]._add(e)
+        total._add(e)
     table = TextTable(
         ["Rank", "Compute (s)", "P2P (s)", "Collective (s)", "Comm frac", "Bytes sent"],
         title=title,
@@ -33,7 +35,6 @@ def render_rank_summary(tracer: Tracer, title: str = "Per-rank breakdown") -> st
                 s.comm_fraction, s.bytes_sent,
             ]
         )
-    total = tracer.summary()
     table.add_row(
         [
             "all", total.compute_time, total.p2p_time, total.collective_time,

@@ -120,25 +120,18 @@ class CheckpointStore:
         if epoch < 0:
             raise ValidationError(f"checkpoint epoch must be >= 0, got {epoch}")
         wr = comm.world_rank
-        world = comm.world
         payload = copy_payload(state)
         nbytes = payload_nbytes(payload)
         digest = state_digest(payload)
-        t0 = comm.wtime()
-        dt = world.compute_model(wr).time(0.0, 2.0 * nbytes)
-        world.clocks[wr].advance(dt)
+        _, vtime = self._stream(comm, "checkpoint_save", nbytes)
         cp = Checkpoint(
-            rank=wr, epoch=epoch, vtime=comm.wtime(), digest=digest,
+            rank=wr, epoch=epoch, vtime=vtime, digest=digest,
             nbytes=nbytes, state=payload,
         )
         with self._lock:
             self._by_rank.setdefault(wr, {})[epoch] = cp
             self.saves += 1
-        world.tracer.record(
-            wr, "recovery", "checkpoint_save", nbytes, t0, cp.vtime,
-            cid=comm.cid,
-        )
-        world.metrics.counter("recovery.checkpoint_saves", rank=wr).inc()
+        comm.world.metrics.counter("recovery.checkpoint_saves", rank=wr).inc()
         return cp
 
     # -- read ------------------------------------------------------------
@@ -151,17 +144,9 @@ class CheckpointStore:
         event.  Raises :class:`~repro.errors.ValidationError` when no
         such checkpoint exists.
         """
-        wr = comm.world_rank
-        owner = wr if rank is None else rank
+        owner = comm.world_rank if rank is None else rank
         cp = self._get(owner, epoch)
-        world = comm.world
-        t0 = comm.wtime()
-        dt = world.compute_model(wr).time(0.0, 2.0 * cp.nbytes)
-        world.clocks[wr].advance(dt)
-        world.tracer.record(
-            wr, "recovery", "checkpoint_fetch", cp.nbytes, t0, comm.wtime(),
-            peer=owner, cid=comm.cid,
-        )
+        self._stream(comm, "checkpoint_fetch", cp.nbytes, peer=owner)
         with self._lock:
             self.restores += 1
         return copy_payload(cp.state)
@@ -172,20 +157,26 @@ class CheckpointStore:
         work.  Records a ``checkpoint_restore`` event."""
         wr = comm.world_rank
         cp = self._get(wr, epoch)
-        world = comm.world
-        t0 = comm.wtime()
-        dt = world.compute_model(wr).time(0.0, 2.0 * cp.nbytes)
-        world.clocks[wr].advance(dt)
-        world.tracer.record(
-            wr, "recovery", "checkpoint_restore", cp.nbytes, t0, comm.wtime(),
-            cid=comm.cid,
-        )
-        world.metrics.counter("recovery.rollbacks", rank=wr).inc()
+        t0, _ = self._stream(comm, "checkpoint_restore", cp.nbytes)
+        comm.world.metrics.counter("recovery.rollbacks", rank=wr).inc()
         with self._lock:
             self.restores += 1
             self.rollbacks += 1
             self.rollback_time += max(0.0, t0 - cp.vtime)
         return copy_payload(cp.state)
+
+    @staticmethod
+    def _stream(comm: Any, event: str, nbytes: int, peer: int = -1) -> tuple[float, float]:
+        """Charge the calling rank the roofline cost of streaming
+        ``nbytes`` of state (a memory-bound copy of ``2 * nbytes``) and
+        record ``event`` over it; returns its start and end time."""
+        wr = comm.world_rank
+        world = comm.world
+        t0 = comm.wtime()
+        world.clocks[wr].advance(world.compute_model(wr).time(0.0, 2.0 * nbytes))
+        t1 = comm.wtime()
+        world.tracer.record(wr, "recovery", event, nbytes, t0, t1, peer=peer, cid=comm.cid)
+        return t0, t1
 
     def _get(self, rank: int, epoch: int) -> Checkpoint:
         with self._lock:

@@ -18,7 +18,7 @@ Three analysis families, mirroring the tentpole taxonomy:
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import (
     DeadlockError,
@@ -91,48 +91,33 @@ def _error_findings(san: Sanitizer) -> list[Finding]:
         return _deadlock_findings(san)
     if isinstance(err, SMPIError):
         if "collective mismatch at call #" in msg or "joined the same collective twice" in msg:
-            return [finding("collective-mismatch", rank, _mismatch_detail(san, msg))]
+            detail = _call_detail(san, msg, "kind", "called")
+            return [finding("collective-mismatch", rank, detail)]
         if "mismatched roots across ranks" in msg:
-            return [finding("collective-root-mismatch", rank, _root_detail(san, msg))]
+            detail = _call_detail(san, msg, "root", "used root")
+            return [finding("collective-root-mismatch", rank, detail)]
         if "must supply a sequence of exactly" in msg or "requires every rank to supply" in msg:
             return [finding("collective-count-mismatch", rank, msg)]
     return [finding("abort", rank, f"{type(err).__name__}: {msg}")]
 
 
-def _mismatch_detail(san: Sanitizer, msg: str) -> str:
-    """Augment the runtime's mismatch error with what every rank called."""
+def _call_detail(san: Sanitizer, msg: str, field: str, verb: str) -> str:
+    """Augment the runtime's mismatch error with what every rank passed
+    as ``field`` (``kind`` or ``root``) at the first call where ranks
+    disagree on it, each value phrased as ``verb value``."""
     for cid in sorted({c.cid for c in san.collectives}):
-        by_index: dict[int, dict[str, list[int]]] = {}
+        by_index: dict[int, dict[Any, list[int]]] = {}
         for c in san.collectives:
             if c.cid == cid:
-                by_index.setdefault(c.index, {}).setdefault(c.kind, []).append(
-                    c.comm_rank
-                )
+                by_index.setdefault(c.index, {}).setdefault(
+                    getattr(c, field), []
+                ).append(c.comm_rank)
         for index in sorted(by_index):
-            kinds = by_index[index]
-            if len(kinds) > 1:
+            values = by_index[index]
+            if len(values) > 1:
                 detail = "; ".join(
-                    f"rank(s) {sorted(ranks)} called {kind}"
-                    for kind, ranks in sorted(kinds.items())
-                )
-                return f"{msg} [call #{index} on communicator {cid}: {detail}]"
-    return msg
-
-
-def _root_detail(san: Sanitizer, msg: str) -> str:
-    for cid in sorted({c.cid for c in san.collectives}):
-        by_index: dict[int, dict[int, list[int]]] = {}
-        for c in san.collectives:
-            if c.cid == cid:
-                by_index.setdefault(c.index, {}).setdefault(c.root, []).append(
-                    c.comm_rank
-                )
-        for index in sorted(by_index):
-            roots = by_index[index]
-            if len(roots) > 1:
-                detail = "; ".join(
-                    f"rank(s) {sorted(ranks)} used root {root}"
-                    for root, ranks in sorted(roots.items())
+                    f"rank(s) {sorted(ranks)} {verb} {value}"
+                    for value, ranks in sorted(values.items())
                 )
                 return f"{msg} [call #{index} on communicator {cid}: {detail}]"
     return msg

@@ -126,15 +126,11 @@ def _result_alltoall(contribs: list[Any], root: int, op: Optional[Op]) -> list[A
 
 
 def _result_reduce(contribs: list[Any], root: int, op: Optional[Op]) -> list[Any]:
-    if op is None:
-        raise SMPIError("reduce requires an op")
     total = op.reduce_sequence([copy_payload(c) for c in contribs])
     return [total if r == root else None for r in range(len(contribs))]
 
 
 def _result_allreduce(contribs: list[Any], root: int, op: Optional[Op]) -> list[Any]:
-    if op is None:
-        raise SMPIError("allreduce requires an op")
     total = op.reduce_sequence([copy_payload(c) for c in contribs])
     return [copy_payload(total) for _ in contribs]
 
@@ -142,8 +138,6 @@ def _result_allreduce(contribs: list[Any], root: int, op: Optional[Op]) -> list[
 def _result_reduce_scatter(
     contribs: list[Any], root: int, op: Optional[Op]
 ) -> list[Any]:
-    if op is None:
-        raise SMPIError("reduce_scatter requires an op")
     p = len(contribs)
     for r, c in enumerate(contribs):
         if c is None or len(c) != p:
@@ -158,8 +152,6 @@ def _result_reduce_scatter(
 
 
 def _result_scan(contribs: list[Any], root: int, op: Optional[Op]) -> list[Any]:
-    if op is None:
-        raise SMPIError("scan requires an op")
     out: list[Any] = []
     acc = None
     for c in contribs:
@@ -169,8 +161,6 @@ def _result_scan(contribs: list[Any], root: int, op: Optional[Op]) -> list[Any]:
 
 
 def _result_exscan(contribs: list[Any], root: int, op: Optional[Op]) -> list[Any]:
-    if op is None:
-        raise SMPIError("exscan requires an op")
     out: list[Any] = [None]
     acc = copy_payload(contribs[0])
     for c in contribs[1:]:

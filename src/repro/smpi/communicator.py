@@ -204,16 +204,36 @@ class Comm:
         self.world.abort(exc, origin)
         raise CommAbortError(f"world aborted ({origin}): {exc!r}") from exc
 
-    def _crashed_peer_failure(
-        self, world_peer: int, what: str
-    ) -> Optional[Callable[[], Optional[BaseException]]]:
-        """Failure probe for :meth:`World.block`: fires once the named
-        peer has crashed, because the wait can then never be satisfied.
+    def _crash_failure(
+        self, blocked_by: Callable[[], Optional[str]], where: str = ""
+    ) -> Callable[[], Optional[BaseException]]:
+        """Failure probe for :meth:`World.block` over ``blocked_by``, which
+        returns the error text once a crashed peer blocks the wait for
+        good (else ``None``).
 
         Under ``ERRORS_RETURN`` the probe returns the exception for the
         blocked rank to raise; under ``ERRORS_ARE_FATAL`` it aborts the
         world in place (the probe runs with the lock held) and returns
         ``None``; :meth:`World.block` then raises ``CommAbortError``.
+        """
+
+        def failure() -> Optional[BaseException]:
+            text = blocked_by()
+            if text is None:
+                return None
+            exc = SmpiProcFailedError(text)
+            if self._errhandler == ERRORS_RETURN:
+                return exc
+            self.world.abort_locked(exc, f"rank {self._rank} observed a crashed peer{where}")
+            return None
+
+        return failure
+
+    def _crashed_peer_failure(
+        self, world_peer: int, what: str
+    ) -> Optional[Callable[[], Optional[BaseException]]]:
+        """Crash probe of a point-to-point wait: fires once the named peer
+        has crashed, because the wait can then never be satisfied.
         ``ANY_SOURCE`` waits never fail this way — another rank may still
         send; lost-message hangs are covered by ``timeout=`` deadlines
         and the deadlock detector.
@@ -221,30 +241,27 @@ class Comm:
         if self.world.faults is None or world_peer < 0:
             return None
 
-        def failure() -> Optional[BaseException]:
+        def blocked_by() -> Optional[str]:
             if world_peer not in self.world.crashed:
                 return None
-            return self._failed_locked(
-                SmpiProcFailedError(
-                    f"{what}: rank {self._inverse.get(world_peer, world_peer)} "
-                    f"(world rank {world_peer}) crashed"
-                ),
-                f"rank {self._rank} observed a crashed peer",
+            return (
+                f"{what}: rank {self._inverse.get(world_peer, world_peer)} "
+                f"(world rank {world_peer}) crashed"
             )
 
-        return failure
+        return self._crash_failure(blocked_by)
 
     def _collective_crash_failure(
         self, ctx: Any, primitive: str
     ) -> Optional[Callable[[], Optional[BaseException]]]:
-        """Failure probe for collectives: fires when a member rank has
+        """Crash probe of a collective: fires when a member rank has
         crashed *without* having contributed — the collective can then
         never complete.  A member that joined before crashing still
         counts, so the operation finishes with its contribution."""
         if self.world.faults is None:
             return None
 
-        def failure() -> Optional[BaseException]:
+        def blocked_by() -> Optional[str]:
             crashed = self.world.crashed
             if not crashed:
                 return None
@@ -255,24 +272,12 @@ class Comm:
             ]
             if not missing:
                 return None
-            return self._failed_locked(
-                SmpiProcFailedError(
-                    f"{primitive}: rank(s) {missing} crashed before entering "
-                    f"the collective"
-                ),
-                f"rank {self._rank} observed a crashed peer in {primitive}",
+            return (
+                f"{primitive}: rank(s) {missing} crashed before entering "
+                f"the collective"
             )
 
-        return failure
-
-    def _failed_locked(self, exc: SMPIError, origin: str) -> Optional[BaseException]:
-        """The tail of both crash probes: under ``ERRORS_RETURN`` return
-        ``exc`` for the blocked rank to raise; under ``ERRORS_ARE_FATAL``
-        abort the world in place and return ``None``."""
-        if self._errhandler == ERRORS_RETURN:
-            return exc
-        self.world.abort_locked(exc, origin)
-        return None
+        return self._crash_failure(blocked_by, f" in {primitive}")
 
     def _abandon_timeout(self, t_post: float, deadline: float, what: str) -> NoReturn:
         """Abandon a timed-out blocking wait: charge virtual time up to
@@ -414,7 +419,6 @@ class Comm:
         self.world.block(
             self._world_rank,
             take=lambda: env.completion_time,
-            can_proceed=lambda: env.completion_time is not None,
             description=f"{what} waiting for a matching recv",
             failure=self._crashed_peer_failure(env.dest, call),
             deadline=deadline,
@@ -505,7 +509,6 @@ class Comm:
         return self.world.block(
             self._world_rank,
             take=lambda: pr.envelope,
-            can_proceed=lambda: pr.envelope is not None,
             description=f"{what} waiting for a message",
             failure=self._crashed_peer_failure(pr.source, what),
             deadline=deadline,
@@ -670,8 +673,6 @@ class Comm:
             env = self.world.block(
                 me,
                 take=lambda: queues.peek_unexpected(world_src, tag, self.cid),
-                can_proceed=lambda: queues.peek_unexpected(world_src, tag, self.cid)
-                is not None,
                 description=f"{what} waiting for a message",
                 failure=self._crashed_peer_failure(world_src, what),
                 cid=self.cid,
@@ -787,7 +788,6 @@ class Comm:
             self.world.block(
                 me,
                 take=lambda: True if ctx.done else None,
-                can_proceed=lambda: ctx.done,
                 description=f"{spec.primitive} (collective call #{index}) "
                 f"waiting for all ranks to enter",
                 failure=self._collective_crash_failure(ctx, spec.primitive),
@@ -934,7 +934,6 @@ class Comm:
             world.block(
                 me,
                 take=lambda: world.ft_poll_locked(ctx),
-                can_proceed=lambda: ctx.done or ctx.ready(world.live),
                 description=f"MPIX_Comm_{kind}(cid={self.cid}) waiting for survivors",
             )
         self._clock.advance_to(max(self._clock.now, ctx.completion))

@@ -71,9 +71,8 @@ class FtContext:
     def ready(self, live: Iterable[int]) -> bool:
         """True once every still-live member has joined.
 
-        Side-effect free (usable as a ``can_proceed`` probe).  ``live``
-        is the world's live set; members outside it — crashed, or
-        finished without calling — stop being waited on.
+        ``live`` is the world's live set; members outside it — crashed,
+        or finished without calling — stop being waited on.
         """
         if not self.contribs:
             return False

@@ -90,7 +90,7 @@ class _BlockInfo:
     """
 
     description: str
-    can_proceed: Callable[[], bool]
+    take: Callable[[], Any]
     deadline: Optional[float] = None
     failure: Optional[Callable[[], Optional[BaseException]]] = None
     cid: Optional[int] = None
@@ -310,7 +310,6 @@ class World:
         self,
         rank: int,
         take: Callable[[], Any],
-        can_proceed: Callable[[], bool],
         description: str,
         failure: Optional[Callable[[], Optional[BaseException]]] = None,
         deadline: Optional[float] = None,
@@ -318,11 +317,11 @@ class World:
     ) -> Any:
         """Block ``rank`` until ``take()`` returns non-None.
 
-        ``take`` both checks and consumes (e.g. removes a matched
-        envelope); ``can_proceed`` is a side-effect-free satisfiability
-        probe used by the stall pass.  Caller must hold the world lock
-        and be the running rank; the rank gives up the baton while its
-        wait cannot resolve and re-checks each time it gets it back.
+        ``take`` returns the wait's result once it is available, and
+        keeps returning it: the stall pass calls it too, to find waiters
+        an event forgot to ready.  Caller must hold the world lock and be
+        the running rank; the rank gives up the baton while its wait
+        cannot resolve and re-checks each time it gets it back.
 
         ``failure`` (optional) is probed *after* ``take`` — so an
         already-available result still wins — and any exception it
@@ -339,7 +338,7 @@ class World:
         resolves that way — revocation only poisons waits that cannot
         otherwise resolve.
         """
-        info = _BlockInfo(description, can_proceed, deadline, failure, cid)
+        info = _BlockInfo(description, take, deadline, failure, cid)
         while True:
             if self.abort_exc is not None:
                 self.check_abort_locked()
@@ -412,7 +411,7 @@ class World:
         return (
             info.timed_out
             or self.abort_exc is not None
-            or info.can_proceed()
+            or info.take() is not None
             or (info.cid is not None and info.cid in self.revoked_cids)
             or (info.failure is not None and info.failure() is not None)
         )
@@ -587,7 +586,8 @@ class World:
     def ft_poll_locked(self, ctx: FtContext) -> Optional[bool]:
         """``take`` probe for a rank blocked in shrink/agree.
 
-        The first waker that observes the rendezvous ready finalizes it
+        The first call that observes the rendezvous ready (a waiter's,
+        or the stall pass's for a waiter an event forgot) finalizes it
         for everyone (survivor list, result/new cid, completion time).
         """
         if not ctx.done and ctx.ready(self.live):

@@ -81,6 +81,19 @@ def test_distributed_matches_reference(method, p):
         assert np.allclose(other.centroids, r.centroids)
 
 
+@pytest.mark.parametrize("method", ["weighted", "explicit"])
+def test_every_rank_takes_the_width_of_the_given_points(method):
+    """Points wider than the ``dims`` default: every rank, not only the
+    root that reads the points, iterates over their width."""
+    k, seed = 4, 3
+    pts = np.random.default_rng(seed).normal(size=(600, 3))
+    ref_c, _, ref_iters, _ = kmeans_reference(pts, k, seed=seed)
+    out = smpi.run(2, kmeans_distributed, pts, k=k, method=method, seed=seed)
+    for r in out:
+        assert r.iterations == ref_iters
+        assert np.allclose(r.centroids, ref_c, atol=1e-8)
+
+
 def test_label_partition_sizes():
     out = smpi.run(4, kmeans_distributed, n=103, k=3, seed=0)
     assert sum(len(r.local_labels) for r in out) == 103

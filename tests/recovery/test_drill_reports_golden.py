@@ -8,7 +8,9 @@ wait-state table — for one run of each outcome:
 * ``faults``: a clean ring (survived), the Module 8 handout drill on
   ``resilient`` (degraded) and a ring that loses a message (aborted);
 * ``recover``: a clean k-means (survived), k-means losing rank 3
-  mid-run, plain and with ``--waits`` (recovered), and the same crash
+  mid-run, plain and with ``--waits`` (recovered), the same crash with
+  a checkpoint every third iteration, so the survivors resume from an
+  epoch older than their last iteration (recovered), and the same crash
   with no recovery budget (aborted).
 
 The plans are the ones the CI ``docs`` and ``recovery-drills`` jobs
@@ -55,6 +57,10 @@ CASES = {
     "recover_kmeans_aborted": [
         "recover", "kmeans", "--plan", "{plan}/crash_kmeans.toml",
         "--max-recoveries", "0",
+    ],
+    "recover_kmeans_recovered_every3": [
+        "recover", "kmeans", "--plan", "{plan}/crash_kmeans.toml",
+        "-p", "checkpoint_every=3",
     ],
 }
 

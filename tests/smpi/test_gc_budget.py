@@ -47,8 +47,8 @@ WORLDS = {"fanin_storm": (fanin_storm, 100), "p2p_storm": (p2p_storm, 75)}
 #: allocated blocks the finished world holds, and the most it may leave
 PINS = {
     (3, 11): {
-        "fanin_storm": {"passes": [6, 0, 0], "held": 7_824, "left": 1},
-        "p2p_storm": {"passes": [3, 0, 0], "held": 16_987, "left": 1},
+        "fanin_storm": {"passes": [6, 0, 0], "held": 7_823, "left": 1},
+        "p2p_storm": {"passes": [3, 0, 0], "held": 16_955, "left": 1},
     },
 }
 #: the collector's default thresholds, which the pins assume

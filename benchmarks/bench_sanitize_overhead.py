@@ -13,8 +13,6 @@ wildcard receives match at quiescence instead of eagerly — but the
 *answer* must not: a clean program sanitizes to the same results.
 """
 
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -25,17 +23,12 @@ NPROCS = 4
 KM = dict(n=4096, k=8, max_iter=10)
 SORT = dict(n_per_rank=5000)
 
-_REPORT_PATH = pathlib.Path(__file__).parent / "benchmark_reports.txt"
-
 
 def _record(lines: list[str]) -> None:
-    block = (
+    print(
         f"\n{'=' * 72}\n[PASS] SAN: sanitizer overhead contract\n{'=' * 72}\n"
         + "\n".join(lines) + "\n"
     )
-    print(block)
-    with _REPORT_PATH.open("a") as fh:
-        fh.write(block)
 
 
 def test_sanitizer_off_costs_nothing(benchmark):

@@ -1,8 +1,8 @@
 """Experiment harness: scaling runners and the per-artifact registry.
 
-Every table/figure/claim in DESIGN.md §4 has an experiment here; the
-``benchmarks/`` directory wraps these with pytest-benchmark so a single
-``pytest benchmarks/ --benchmark-only`` regenerates the whole evaluation.
+Every table/figure/claim in DESIGN.md §4 has an experiment here;
+``python -m repro all`` regenerates the whole evaluation, and tier-1
+pins every report's text and checks.
 """
 
 from repro.harness.scaling import (

@@ -4,7 +4,10 @@ Each experiment regenerates its table/figure/claim on the simulated
 substrate and returns an :class:`ExperimentReport` whose ``checks`` map
 records whether each of the paper's qualitative claims held (who wins,
 roughly by how much, where crossovers fall).  ``EXPERIMENTS`` is keyed
-by artifact id (``T1``-``T4``, ``F1``-``F2``, ``E1``-``E8``).
+by artifact id: ``T1``-``T4``, ``F1``-``F2``, ``E1``-``E8``, the
+extension modules ``E9``-``E10`` and the ablations ``A1``-``A3``.
+``python -m repro all`` runs them all, and
+``tests/harness/test_artifact_pins.py`` pins each report's bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ class ExperimentReport:
     title: str
     text: str
     checks: dict[str, bool] = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -150,7 +152,6 @@ def _run_t4() -> ExperimentReport:
     return ExperimentReport(
         "T4", "Quiz statistics from the reconstruction (Table IV)",
         render_table4_comparison(stats), checks,
-        data={"stats": stats},
     )
 
 
@@ -179,7 +180,6 @@ def _run_f1() -> ExperimentReport:
     text = render_figure1(curves) + "\n\nQuiz answer: " + advice.explanation
     return ExperimentReport(
         "F1", "Speedup curves + co-scheduling answer (Figure 1)", text, checks,
-        data={"curves": curves},
     )
 
 
